@@ -2,7 +2,6 @@
 
 from .linalg import (
     DensityMatrix,
-    hermitian_eig,
     hermitianize,
     hs_distance,
     is_psd,

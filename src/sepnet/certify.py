@@ -7,6 +7,7 @@ Three independent routes complement the trained upper bounds:
   that its trace distance never exceeds the negativity -lambda_min;
 * an alternating-projection (Dykstra) computation of the Hilbert-Schmidt
   projection onto the PPT states, which for two qubits *is* the separable set;
+  the returned state is exactly PPT, up to eigensolver rounding;
 * purity-ball certificates: a state close enough to maximally mixed (in
   purity) is separable, so exhibiting the target as a convex combination of a
   trained separable state and a ball member proves separability.
@@ -24,6 +25,7 @@ from .linalg import (
     hs_distance,
     min_eigenvalue,
     partial_transpose,
+    purity,
     trace_distance,
 )
 from .model import SeparabilityStructure, biseparable, full_separability
@@ -123,7 +125,9 @@ def closest_ppt_hs(rho, dims=(2, 2), tol: float = 1e-8, max_iter: int = 50000) -
     Dykstra-corrected alternating projections between the density matrices
     and the PT-PSD set; the corrections make the iteration converge to the
     true metric projection onto the intersection, not merely a feasible
-    point.  For two qubits the PPT set equals the separable set, so the
+    point.  Dykstra leaves the partial transpose PSD only to within ``tol``,
+    so the result is mixed with I/D at the least weight that makes it exactly
+    PPT.  For two qubits the PPT set equals the separable set, so the
     returned distance is the exact HS distance to the separable states.
     """
     target = as_matrix(rho).astype(complex)
@@ -140,7 +144,14 @@ def closest_ppt_hs(rho, dims=(2, 2), tol: float = 1e-8, max_iter: int = 50000) -
         step = np.inf if y_prev is None else hs_distance(y, y_prev)
         y_prev = y
         if gap < tol and step < tol:
-            state = DensityMatrix(_project_density(y), tuple(dims))
+            m = _project_density(y)
+            # mixing in I/D at weight t lifts the PT minimum to (1-t) lam + t/D = 0
+            total = len(m)
+            lam = min_eigenvalue(partial_transpose(m, dims, 1))
+            if lam < 0:
+                t = -lam * total / (1.0 - lam * total)
+                m = (1.0 - t) * m + t * np.eye(total) / total
+            state = DensityMatrix(m, tuple(dims))
             return PptProjection(state, hs_distance(target, state.matrix), it)
     raise RuntimeError(
         f"alternating projections did not converge within {max_iter} iterations "
@@ -196,10 +207,6 @@ class CertificateResult:
     reason: str
 
 
-def default_eps_prime_grid() -> np.ndarray:
-    return np.logspace(-3, 0, 20)
-
-
 def certify_state(
     rho,
     dims,
@@ -223,7 +230,7 @@ def certify_state(
     total = rho.shape[0]
     bound = purity_ball_bound(notion, dims)
     if eps_prime_grid is None:
-        eps_prime_grid = default_eps_prime_grid()
+        eps_prime_grid = np.logspace(-3, 0, 20)
     rho_t = (1.0 + epsilon) * rho - epsilon * np.eye(total) / total
     lo = min_eigenvalue(hermitianize(rho_t))
     if lo < -1e-9:
@@ -247,7 +254,7 @@ def certify_state(
         lo_x = min_eigenvalue(hermitianize(rho_x))
         if lo_x < -1e-9:
             continue
-        pur = float(np.vdot(rho_x, rho_x).real)
+        pur = purity(rho_x)
         if pur > bound:
             continue
         if best is None or pur < best[1]:

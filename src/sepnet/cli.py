@@ -33,11 +33,9 @@ from .model import (
     size_constrained_biseparable,
     triseparable,
 )
-from .optim import GdConfig, TrainConfig, TrainingDivergedError, naive_gd, train
+from .optim import GdConfig, TrainConfig, naive_gd, train
 from .scan import scan_family
-from .states import FamilySpec, bell_ansatz_state, isotropic, max_entangled, random_two_qubit
-
-FAMILIES = ("isotropic", "werner", "horodecki", "noisy_ghz", "noisy_w", "bell_ansatz")
+from .states import FAMILY_KINDS, FamilySpec, bell_ansatz_state, isotropic, max_entangled, random_two_qubit
 
 
 class UsageError(Exception):
@@ -70,16 +68,9 @@ def parse_structure(text: str, dims: tuple[int, ...]) -> SeparabilityStructure:
 
 
 def _family_from_args(args) -> FamilySpec:
-    kind = args.family
-    if kind not in FAMILIES:
-        raise UsageError(f"unknown family {kind!r}")
-    if kind == "bell_ansatz":
-        return FamilySpec(kind, ansatz=(args.a, args.b, args.c))
-    if kind in ("noisy_ghz", "noisy_w"):
-        return FamilySpec(kind, n=args.n)
-    if kind == "horodecki":
-        return FamilySpec(kind)
-    return FamilySpec(kind, d=args.d)
+    if args.target is not None or args.family is None:
+        raise UsageError(f"{args.command} works on --family targets only")
+    return FamilySpec(args.family, d=args.d, n=args.n, ansatz=(args.a, args.b, args.c))
 
 
 def _target_from_args(args) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
@@ -95,13 +86,7 @@ def _target_from_args(args) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
     if q is None and family.kind != "bell_ansatz":
         raise UsageError("--q is required with --family")
     state = family.make(q if q is not None else 0.0)
-    desc = [f"family = {family.kind}"]
-    if family.kind in ("isotropic", "werner"):
-        desc.append(f"d = {family.d}")
-    if family.kind in ("noisy_ghz", "noisy_w"):
-        desc.append(f"n = {family.n}")
-    if family.kind == "bell_ansatz":
-        desc.append(f"a,b,c = {family.ansatz}")
+    desc = family.describe()
     if q is not None:
         desc.append(f"q = {q!r}")
     return state.matrix, family.dims(), desc
@@ -192,8 +177,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.target is not None:
-        raise UsageError("scan works on --family targets only")
     family = _family_from_args(args)
     qs = _parse_grid(args)
     dims = family.dims()
@@ -202,8 +185,7 @@ def cmd_scan(args) -> int:
     points = scan_family(family, qs, structure, config, workers=args.workers)
     out = _out_dir(args)
     path = os.path.join(out, "scan.csv")
-    comments = ([f"family = {family.kind}", f"d = {family.d}", f"n = {family.n}",
-                 f"structure = {args.structure}", f"workers = {args.workers}"]
+    comments = (family.describe() + [f"structure = {args.structure}", f"workers = {args.workers}"]
                 + _config_comments(config))
     write_table(
         path, comments,
@@ -231,8 +213,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.target is not None:
-        raise UsageError("certify works on --family targets only")
     family = _family_from_args(args)
     qs = _parse_grid(args)
     grid = np.logspace(np.log10(args.eps_prime_min), np.log10(args.eps_prime_max),
@@ -246,10 +226,11 @@ def cmd_certify(args) -> int:
     def fmt(x):
         return "" if x is None else (f"{x!r}" if isinstance(x, float) else str(x))
 
-    comments = ([f"family = {family.kind}", f"d = {family.d}", f"n = {family.n}",
-                 f"notion = {args.notion}", f"epsilon = {args.epsilon!r}",
-                 f"eps_prime_grid = logspace({args.eps_prime_min!r}, {args.eps_prime_max!r}, "
-                 f"{args.eps_prime_points})"] + _config_comments(config))
+    comments = (family.describe()
+                + [f"notion = {args.notion}", f"epsilon = {args.epsilon!r}",
+                   f"eps_prime_grid = logspace({args.eps_prime_min!r}, {args.eps_prime_max!r}, "
+                   f"{args.eps_prime_points})"]
+                + _config_comments(config))
     write_table(
         path, comments,
         ["q", "certified", "notion", "epsilon", "eps_prime", "purity", "purity_bound",
@@ -387,7 +368,7 @@ def cmd_ansatz_check(args) -> int:
 # --- argument parsing ------------------------------------------------------------
 
 def _add_target_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, help="built-in state family")
+    p.add_argument("--family", choices=FAMILY_KINDS, help="built-in state family")
     p.add_argument("--target", help="complex-matrix text file (alternative to --family)")
     p.add_argument("--d", type=int, default=2, help="local dimension (isotropic/werner)")
     p.add_argument("--n", type=int, default=3, help="party count (noisy_ghz/noisy_w)")
@@ -476,15 +457,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TrainingDivergedError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # before ValueError: numpy's LinAlgError is one
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

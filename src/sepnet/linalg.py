@@ -16,11 +16,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
 def hermitianize(m: np.ndarray) -> np.ndarray:
     """Average a matrix with its conjugate transpose."""
     return 0.5 * (m + m.conj().T)
@@ -34,17 +29,6 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as columns, so that ``(V * w) @ V.conj().T`` reconstructs
-    the input.
-    """
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -119,9 +103,9 @@ class DensityMatrix:
     """A validated density matrix together with its tensor factorization.
 
     ``dims`` records the local dimension of each party; their product must
-    equal the matrix side.  Construction checks Hermiticity, unit trace and
-    positive semidefiniteness and raises ``ValueError`` with the offending
-    quantity otherwise.
+    equal the matrix side.  Construction checks finite entries, Hermiticity,
+    unit trace and positive semidefiniteness and raises ``ValueError`` with
+    the offending quantity otherwise.
     """
 
     matrix: np.ndarray
@@ -134,6 +118,8 @@ class DensityMatrix:
         side = int(np.prod(self.dims))
         if m.ndim != 2 or m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite (NaN or infinite) entries")
         herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")

@@ -17,6 +17,7 @@ logistic sigmoid; amplitude components are mapped affinely from (0, 1) to
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -26,7 +27,6 @@ import numpy as np
 from .linalg import DensityMatrix
 
 CHECKPOINT_VERSION = 1
-_EINSUM_LETTERS = "abcdefgh"
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -315,26 +315,65 @@ def _evaluate(model: DecompositionModel) -> tuple[np.ndarray, _Cache]:
         cols = slice(p * kk, (p + 1) * kk)
         logits[cols] = y[lay.logit_row]
         hats, norms, cvs = [], [], []
-        prod = None
         for rows, bd in zip(lay.block_rows, lay.block_dims):
             v = 2.0 * y[rows] - 1.0
             n = np.sqrt((v * v).sum(axis=0))
             if np.any(n < 1e-12):
-                raise ValueError(
+                raise np.linalg.LinAlgError(
                     "amplitude vector norm below 1e-12; re-initialize with a different seed"
                 )
-            psi = (v[:bd] + 1j * v[bd:]) / n
-            hats.append(psi)
+            hats.append((v[:bd] + 1j * v[bd:]) / n)
             norms.append(n)
             cvs.append(v)
-            prod = psi if prod is None else (prod[:, None, :] * psi[None, :, :]).reshape(-1, kk)
         psi_hats.append(hats)
         v_norms.append(norms)
         vs.append(cvs)
-        phis[lay.cmap, cols] = prod
+        phis[lay.cmap, cols] = _product(hats)
     weights = _softmax(logits)
     rho = (phis * weights) @ phis.conj().T
     return rho, _Cache(z1, h, y, weights, psi_hats, v_norms, vs, phis)
+
+
+# --- the product-state kernel, shared with the plain-GD baseline ------------
+
+def _product(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Column-wise Kronecker product of per-block (m_b, K) vectors: (prod m_b, K)."""
+    prod = vectors[0]
+    for psi in vectors[1:]:
+        prod = (prod[:, None, :] * psi[None, :, :]).reshape(-1, prod.shape[1])
+    return prod
+
+
+@lru_cache(maxsize=None)
+def _contractions(n_blocks: int) -> tuple[str, ...]:
+    """einsum subscripts contracting a product gradient with every block but one."""
+    letters = string.ascii_letters.replace("k", "")[:n_blocks]      # "k" indexes the terms
+    return tuple(
+        "k" + letters + "," + ",".join(c + "k" for c in letters if c != out) + "->" + out + "k"
+        for out in letters
+    )
+
+
+def _term_gradients(grad_rho: np.ndarray, phis: np.ndarray,
+                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients wrt each w_t and each phi_t of rho = sum_t w_t |phi_t><phi_t|."""
+    g_phis = grad_rho @ phis
+    w_grad = np.einsum("dt,dt->t", phis.conj(), g_phis).real
+    return w_grad, 2.0 * weights * g_phis
+
+
+def _block_gradients(g_product: np.ndarray, vectors: Sequence[np.ndarray],
+                     block_dims: Sequence[int]) -> list[np.ndarray]:
+    """Gradient wrt each block vector, given the gradient wrt their product."""
+    gt = g_product.T.reshape((g_product.shape[1],) + tuple(block_dims))
+    conj = [psi.conj() for psi in vectors]
+    return [np.einsum(subs, gt, *(c for ob, c in enumerate(conj) if ob != b))
+            for b, subs in enumerate(_contractions(len(vectors)))]
+
+
+def _through_normalization(unit: np.ndarray, norm: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Chain a gradient wrt u = v/|v| back to v: (g - u Re sum(conj(u) g)) / |v|."""
+    return (grad - unit * (unit.conj() * grad).real.sum(axis=0)) / norm
 
 
 class RawTermOutput(NamedTuple):
@@ -375,35 +414,17 @@ def backward(model: DecompositionModel, grad_rho: np.ndarray,
     kk = model.k_terms
     g = np.asarray(grad_rho)
 
-    gphi_all = g @ cache.phis                       # (D, K*P)
-    w_grad = np.einsum("dt,dt->t", cache.phis.conj(), gphi_all).real
+    w_grad, g_phis = _term_gradients(g, cache.phis, cache.weights)
     logit_grad = cache.weights * (w_grad - cache.weights @ w_grad)
 
     dy = np.zeros_like(cache.y)
     for p, lay in enumerate(layouts):
         cols = slice(p * kk, (p + 1) * kk)
         dy[lay.logit_row] = logit_grad[cols]
-        # complex gradient wrt the canonical product vectors of this partition
-        gphi = 2.0 * cache.weights[cols] * gphi_all[:, cols]
-        gphi_blk = gphi[lay.cmap]
-        nb = len(lay.blocks)
-        gt = gphi_blk.T.reshape((kk,) + lay.block_dims)
-        g_subs = "k" + _EINSUM_LETTERS[:nb]
-        for b, rows in enumerate(lay.block_rows):
-            ops, subs = [], []
-            for ob in range(nb):
-                if ob == b:
-                    continue
-                ops.append(cache.psi_hats[p][ob].conj())
-                subs.append(_EINSUM_LETTERS[ob] + "k")
-            out_subs = _EINSUM_LETTERS[b] + "k"
-            gpsi = np.einsum(g_subs + "," + ",".join(subs) + "->" + out_subs, gt, *ops)
-            ghat = np.concatenate([gpsi.real, gpsi.imag], axis=0)      # (2m, K)
-            v = cache.vs[p][b]
-            n = cache.v_norms[p][b]
-            vhat = v / n
-            gv = (ghat - vhat * (vhat * ghat).sum(axis=0)) / n
-            dy[rows] += 2.0 * gv
+        g_psis = _block_gradients(g_phis[:, cols][lay.cmap], cache.psi_hats[p], lay.block_dims)
+        for rows, g_psi, v, n in zip(lay.block_rows, g_psis, cache.vs[p], cache.v_norms[p]):
+            g_hat = np.concatenate([g_psi.real, g_psi.imag], axis=0)      # (2m, K)
+            dy[rows] += 2.0 * _through_normalization(v / n, n, g_hat)
 
     dz2 = dy * cache.y * (1.0 - cache.y)
     dw2 = dz2 @ cache.h.T
@@ -447,13 +468,12 @@ def load_checkpoint(path: str) -> DecompositionModel:
             tuple(descr["dims"]),
             tuple(tuple(tuple(b) for b in part) for part in descr["partitions"]),
         )
-        return DecompositionModel(
-            structure,
-            int(data["k_terms"]),
-            int(data["width"]),
-            int(data["seed"]),
-            data["w1"],
-            data["b1"],
-            data["w2"],
-            data["b2"],
-        )
+        k_terms, width = int(data["k_terms"]), int(data["width"])
+        out = output_width(structure)
+        shapes = {"w1": (width, k_terms), "b1": (width,), "w2": (out, width), "b2": (out,)}
+        params = {name: data[name] for name in shapes}
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ValueError(f"checkpoint array {name} has shape {params[name].shape}, "
+                                 f"expected {shape} for its structure, k_terms and width")
+        return DecompositionModel(structure, k_terms, width, int(data["seed"]), **params)

@@ -10,6 +10,10 @@ window of ``batches_per_epoch // 30`` batches: at the full step the iterate
 jitters at a noise floor around the optimum, and the best distance seen is
 the lowest dip of that noise.  The run then ends as ``converged``, unless the
 window reaches ``stop_distance`` first.
+
+The baseline :func:`naive_gd` has its own parametrization (linearly
+normalized weights, free complex amplitudes) but assembles and
+differentiates the mixture with the model's product-state kernel.
 """
 from __future__ import annotations
 
@@ -18,12 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_matrix, hermitianize
-from .model import DecompositionModel, SeparabilityStructure, _evaluate, backward, init_model
+from .linalg import DensityMatrix, as_matrix, hermitianize, hs_distance, trace_distance
+from .model import (DecompositionModel, SeparabilityStructure, _block_gradients, _evaluate,
+                    _product, _term_gradients, _through_normalization, backward, init_model)
 
 SIGN_EIGENVALUE_CUTOFF = 1e-12
 SETTLE_SCALE = 0.1      # Adadelta update scale in the settling window after a plateau
 SETTLE_FRACTION = 30    # settling window length is batches_per_epoch // SETTLE_FRACTION
+_DISTANCES = {"trace": trace_distance, "hs": hs_distance}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,8 +67,9 @@ def loss_value_and_gradient(rho_nn: np.ndarray, rho_t: np.ndarray, loss: str) ->
 
 def distance(a, b, loss: str = "trace") -> float:
     """Distance between two states under the named loss."""
-    value, _ = loss_value_and_gradient(as_matrix(a), as_matrix(b), loss)
-    return value
+    if loss not in _DISTANCES:
+        raise ValueError(f"unknown loss {loss!r}")
+    return _DISTANCES[loss](as_matrix(a), as_matrix(b))
 
 
 @dataclass
@@ -252,7 +259,6 @@ def naive_gd(target, dims: tuple[int, ...], config: GdConfig | None = None) -> G
     rho_t = as_matrix(target)
     rng = np.random.default_rng(config.seed)
     kk = config.k_terms
-    n_parties = len(dims)
     raw_p = rng.uniform(0.5, 1.5, size=kk)
     amps = []
     for d in dims:
@@ -263,51 +269,33 @@ def naive_gd(target, dims: tuple[int, ...], config: GdConfig | None = None) -> G
     vel_p = np.zeros_like(raw_p)
     vel_a = [np.zeros_like(a) for a in amps]
 
-    def evaluate():
-        p = np.maximum(raw_p, 1e-12)
-        s = p.sum()
-        probs = p / s
-        hats = [a / np.sqrt((a.conj() * a).real.sum(axis=0)) for a in amps]
-        phi = hats[0]
-        for h in hats[1:]:
-            phi = (phi[:, None, :] * h[None, :, :]).reshape(-1, kk)
-        rho = (phi * probs) @ phi.conj().T
-        return probs, s, hats, phi, rho
-
     distances = np.empty(config.rounds + 1)
     lr = config.learning_rate
     for rnd in range(config.rounds + 1):
-        probs, s, hats, phi, rho = evaluate()
+        p = np.maximum(raw_p, 1e-12)
+        s = p.sum()
+        probs = p / s
+        norms = [np.sqrt((a.conj() * a).real.sum(axis=0)) for a in amps]
+        hats = [a / n for a, n in zip(amps, norms)]
+        phi = _product(hats)
+        rho = (phi * probs) @ phi.conj().T
         value, grad_rho = loss_value_and_gradient(rho, rho_t, config.loss)
         distances[rnd] = value
         if rnd == config.rounds:
             break
-        gphi = grad_rho @ phi
-        w_grad = np.einsum("dt,dt->t", phi.conj(), gphi).real
+        w_grad, g_phi = _term_gradients(grad_rho, phi, probs)
         # normalization of the raw weights
         gp = (w_grad - probs @ w_grad) / s
         gp = np.where(raw_p > 1e-12, gp, np.minimum(gp, 0.0))
-        gphi2 = 2.0 * probs * gphi
-        gt = gphi2.T.reshape((kk,) + tuple(dims))
-        letters = "abcdefgh"[:n_parties]
-        ga = []
-        for b in range(n_parties):
-            ops = [hats[ob].conj() for ob in range(n_parties) if ob != b]
-            subs = [letters[ob] + "k" for ob in range(n_parties) if ob != b]
-            gpsi = np.einsum("k" + letters + "," + ",".join(subs) + "->" + letters[b] + "k", gt, *ops)
-            # through the 2-norm normalization, on the unnormalized amplitudes
-            a = amps[b]
-            n = np.sqrt((a.conj() * a).real.sum(axis=0))
-            ahat = a / n
-            proj = (ahat.conj() * gpsi).real.sum(axis=0)
-            gau = (gpsi - ahat * proj) / n
-            if config.real_only:
-                gau = gau.real.astype(complex)
-            ga.append(gau)
+        # through the 2-norm normalization, on the unnormalized amplitudes
+        ga = [_through_normalization(h, n, g)
+              for h, n, g in zip(hats, norms, _block_gradients(g_phi, hats, dims))]
+        if config.real_only:
+            ga = [g.real.astype(complex) for g in ga]
         vel_p = config.momentum * vel_p - lr * gp
         raw_p = np.maximum(raw_p + vel_p, 0.0)
-        for b in range(n_parties):
-            vel_a[b] = config.momentum * vel_a[b] - lr * ga[b]
+        for b, g in enumerate(ga):
+            vel_a[b] = config.momentum * vel_a[b] - lr * g
             amps[b] = amps[b] + vel_a[b]
         lr *= config.lr_decay
     state = DensityMatrix(rho, tuple(dims))

@@ -14,10 +14,11 @@ family is separable iff q <= 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermitianize, min_eigenvalue, tensor
+from .linalg import DensityMatrix, hermitianize
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -150,9 +151,6 @@ def bell_ansatz_state(a: float, b: complex, c: complex) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    lo = min_eigenvalue(hermitianize(m))
-    if lo < -1e-9:
-        raise ValueError(f"parameters give a non-positive matrix: min eigenvalue {lo:.3e}")
     return DensityMatrix(m, (2, 2))
 
 
@@ -218,15 +216,36 @@ def reference_distance(family: str, metric: str, d: int, q: float) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-# --- family descriptor ------------------------------------------------------
+# --- family registry -------------------------------------------------------
+
+class _Family(NamedTuple):
+    fields: tuple[str, ...]     # the FamilySpec fields this kind uses
+    dims: Callable[["FamilySpec"], tuple[int, ...]]
+    member: Callable[["FamilySpec", float], DensityMatrix]
+
+
+_FAMILIES = {
+    "isotropic": _Family(("d",), lambda f: (f.d, f.d), lambda f, q: isotropic(f.d, q)),
+    "werner": _Family(("d",), lambda f: (f.d, f.d), lambda f, q: werner(f.d, q)),
+    "horodecki": _Family((), lambda f: (3, 3), lambda f, q: horodecki_3x3(q)),
+    "noisy_ghz": _Family(("n",), lambda f: (2,) * f.n,
+                         lambda f, q: noisy_mix(ghz(f.n), q, (2,) * f.n)),
+    "noisy_w": _Family(("n",), lambda f: (2,) * f.n,
+                       lambda f, q: noisy_mix(w_state(f.n), q, (2,) * f.n)),
+    "bell_ansatz": _Family(("ansatz",), lambda f: (2, 2), lambda f, q: bell_ansatz_state(*f.ansatz)),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
+_FIELD_LABELS = {"d": "d", "n": "n", "ansatz": "a,b,c"}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Descriptor of a one-parameter target family, used by scans and the CLI.
 
-    ``kind`` is one of isotropic, werner, horodecki, noisy_ghz, noisy_w,
-    bell_ansatz.  ``d`` is the local dimension for the bipartite families and
-    ``n`` the number of qubits for the noisy multipartite ones.
+    ``kind`` is one of :data:`FAMILY_KINDS`.  ``d`` is the local dimension
+    for the bipartite families, ``n`` the number of qubits for the noisy
+    multipartite ones and ``ansatz`` the (a, b, c) of ``bell_ansatz``; each
+    kind ignores the fields it does not use.
     """
 
     kind: str
@@ -234,29 +253,21 @@ class FamilySpec:
     n: int = 3
     ansatz: tuple[float, complex, complex] = field(default=(0.0, 0.0, 0.0))
 
+    def _family(self) -> _Family:
+        try:
+            return _FAMILIES[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown family kind {self.kind!r}") from None
+
     def dims(self) -> tuple[int, ...]:
-        if self.kind in ("isotropic", "werner"):
-            return (self.d, self.d)
-        if self.kind == "horodecki":
-            return (3, 3)
-        if self.kind in ("noisy_ghz", "noisy_w"):
-            return (2,) * self.n
-        if self.kind == "bell_ansatz":
-            return (2, 2)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return self._family().dims(self)
 
     def make(self, q: float) -> DensityMatrix:
         """Instantiate the family member with mixing parameter q."""
-        if self.kind == "isotropic":
-            return isotropic(self.d, q)
-        if self.kind == "werner":
-            return werner(self.d, q)
-        if self.kind == "horodecki":
-            return horodecki_3x3(q)
-        if self.kind == "noisy_ghz":
-            return noisy_mix(ghz(self.n), q, (2,) * self.n)
-        if self.kind == "noisy_w":
-            return noisy_mix(w_state(self.n), q, (2,) * self.n)
-        if self.kind == "bell_ansatz":
-            return bell_ansatz_state(*self.ansatz)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return self._family().member(self, q)
+
+    def describe(self) -> list[str]:
+        """Header lines naming the kind and the value of each field it uses."""
+        return [f"family = {self.kind}"] + [
+            f"{_FIELD_LABELS[name]} = {getattr(self, name)}" for name in self._family().fields
+        ]

@@ -86,10 +86,12 @@ class TestClosestPpt:
         assert np.allclose(proj.state.matrix, rho.matrix, atol=1e-6)
 
     def test_projection_is_ppt_state(self, rng):
-        rho = sample_npt_two_qubit(rng)
-        proj = closest_ppt_hs(rho)
-        assert ppt_min_eigenvalue(proj.state.matrix, (2, 2)) >= -1e-7
-        assert proj.distance > 0
+        # PPT up to eigensolver rounding, not merely up to the Dykstra tolerance
+        for _ in range(10):
+            rho = sample_npt_two_qubit(rng)
+            proj = closest_ppt_hs(rho)
+            assert ppt_min_eigenvalue(proj.state.matrix, (2, 2)) >= -1e-12
+            assert proj.distance > 0
 
 
 class TestPurityBall:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sepnet import DensityMatrix, TrainConfig, full_separability, isotropic, train
+from sepnet import DensityMatrix, TrainConfig, full_separability, init_model, isotropic, train
 from sepnet.cli import UsageError, main, parse_structure
 from sepnet.io import read_matrix, read_table
 
@@ -43,6 +43,29 @@ class TestExitCodes:
         # horodecki validates q in [0, 2.5]; the ValueError maps to exit 2
         args = ["train", "--family", "horodecki", "--q", "3.0", "--out", str(tmp_path)]
         assert main(args + CHEAP) == 2
+
+    def test_nan_target_file(self, tmp_path, capsys):
+        from sepnet.io import write_matrix
+
+        target = tmp_path / "nan.txt"
+        write_matrix(target, np.full((4, 4), np.nan), (2, 2))
+        args = ["train", "--target", str(target), "--out", str(tmp_path / "run")]
+        assert main(args + CHEAP) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_degenerate_model_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        # zero second-layer weights center every amplitude vector at zero
+        import sepnet.optim
+
+        def degenerate(*args, **kwargs):
+            model = init_model(*args, **kwargs)
+            model.w2[:] = 0.0
+            return model
+
+        monkeypatch.setattr(sepnet.optim, "init_model", degenerate)
+        args = ["train", "--family", "werner", "--q", "0.6", "--out", str(tmp_path)]
+        assert main(args + CHEAP) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_unknown_structure(self, tmp_path):
         args = ["train", "--family", "werner", "--q", "0.6", "--structure", "pairs",

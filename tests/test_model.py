@@ -194,6 +194,17 @@ class TestCheckpoint:
             assert np.array_equal(loaded.parameters()[key], val)
         assert np.allclose(assemble(loaded).matrix, assemble(model).matrix)
 
+    def test_tampered_array_shape_rejected(self, tmp_path):
+        model = init_model(full_separability((2, 2)), k_terms=3, width=5, seed=0)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["w2"] = arrays["w2"][:-1]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="w2"):
+            load_checkpoint(path)
+
     def test_version_check(self, tmp_path):
         path = str(tmp_path / "bad.npz")
         np.savez(path, version=np.array(99))

@@ -84,6 +84,25 @@ class TestLoss:
                 worst = max(worst, rel)
         assert worst < 1e-4
 
+    def test_backprop_beyond_eight_blocks(self, rng):
+        # nine single-qubit blocks: one directional central difference
+        from sepnet.model import backward
+
+        structure = full_separability((2,) * 9)
+        model = init_model(structure, k_terms=2, width=3, seed=0)
+        target = np.eye(512) / 512
+        rho, cache = _evaluate(model)
+        _, grad_rho = loss_value_and_gradient(rho, target, "hs")
+        direction = rng.standard_normal(model.b2.shape)
+        slope = np.vdot(backward(model, grad_rho, cache)["b2"], direction)
+        h = 1e-6
+        keep = model.b2.copy()
+        values = []
+        for sign in (1, -1):
+            model.b2[:] = keep + sign * h * direction
+            values.append(loss_value_and_gradient(_evaluate(model)[0], target, "hs")[0])
+        assert (values[0] - values[1]) / (2 * h) == pytest.approx(slope, rel=1e-5)
+
 
 class TestDerivedSeed:
     def test_deterministic_and_distinct(self):

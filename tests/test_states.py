@@ -270,9 +270,18 @@ class TestFamilySpec:
         spec = FamilySpec("bell_ansatz", ansatz=(1 / 8, 0.05, 0.0))
         assert np.allclose(spec.make(0.0).matrix, bell_ansatz_state(1 / 8, 0.05, 0.0).matrix)
 
+    def test_describe_names_the_fields_each_kind_uses(self):
+        assert FamilySpec("isotropic", d=3, n=5).describe() == ["family = isotropic", "d = 3"]
+        assert FamilySpec("noisy_w", n=4).describe() == ["family = noisy_w", "n = 4"]
+        assert FamilySpec("horodecki", d=7).describe() == ["family = horodecki"]
+        assert FamilySpec("bell_ansatz", ansatz=(0.1, 0.0, 0.0)).describe() == [
+            "family = bell_ansatz", "a,b,c = (0.1, 0.0, 0.0)"]
+
     def test_unknown_kind(self):
         spec = FamilySpec("cluster")
         with pytest.raises(ValueError, match="unknown family"):
             spec.dims()
         with pytest.raises(ValueError, match="unknown family"):
             spec.make(0.5)
+        with pytest.raises(ValueError, match="unknown family"):
+            spec.describe()
