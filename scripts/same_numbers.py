@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Check that two source trees of sepnet compute bit-identical numbers.
+
+Usage: python3 scripts/same_numbers.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that contain the ``sepnet`` package
+(for a checkout, its ``src/``).  The protocol below runs once against each
+tree, in its own subprocess with that tree on ``PYTHONPATH`` and one BLAS
+thread.  Every case is reduced to a digest of its exact bytes: for ``train``
+the batch count, status, epochs, history, every parameter array, the
+reported distance and the state; for ``naive_gd`` the distance curve and the
+state.  One line is printed per case; the exit status is 1 if any case
+differs, 0 otherwise.  The two trees run side by side; on a 2-core x86-64
+box the whole check takes under a minute.
+"""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+SHORT = dict(max_epochs=2, batches_per_epoch=300)     # the multipartite cases: 2 x 300 batches
+
+
+def _cases():
+    """(name, thunk) pairs; each thunk returns a list of (field, value) pairs."""
+    import numpy as np
+    import sepnet as sn
+
+    def trained(target, structure, config):
+        def run():
+            r = sn.train(target, structure, config)
+            fields = [("batches", r.batches), ("status", r.status), ("epochs", r.epochs),
+                      ("history", [(b, float(d).hex()) for b, d in r.history]),
+                      ("distance", float(r.distance).hex()), ("state", r.state.matrix)]
+            return fields + sorted(r.model.parameters().items())
+        return run
+
+    def gd(target, dims, config):
+        def run():
+            r = sn.naive_gd(target, dims, config)
+            return [("distances", r.distances), ("state", r.state.matrix)]
+        return run
+
+    q4 = (2,) * 4
+    ghz4 = sn.noisy_mix(sn.ghz(4), 0.5, q4)
+    w3 = sn.noisy_mix(sn.w_state(3), 0.5, (2, 2, 2))
+    mixed = sn.random_density_matrix(12, np.random.default_rng(0), dims=(2, 3, 2))
+    cases = [
+        ("bell trace seed 0", trained(sn.isotropic(2, 1.0), sn.full_separability((2, 2)),
+                                      sn.TrainConfig(loss="trace", seed=0))),
+        ("isotropic d=3 q=0.2", trained(sn.isotropic(3, 0.2), sn.full_separability((3, 3)),
+                                        sn.TrainConfig())),
+        ("ghz n=4 bisep", trained(ghz4, sn.biseparable(q4), sn.TrainConfig(**SHORT))),
+        ("ghz n=4 trisep", trained(ghz4, sn.triseparable(q4), sn.TrainConfig(**SHORT))),
+        ("ghz n=4 bisep-m1", trained(ghz4, sn.size_constrained_biseparable(q4, 1),
+                                     sn.TrainConfig(**SHORT))),
+        ("w n=3 bisep", trained(w3, sn.biseparable((2, 2, 2)), sn.TrainConfig(**SHORT))),
+        ("random (2,3,2) bisep", trained(mixed, sn.biseparable((2, 3, 2)),
+                                         sn.TrainConfig(**SHORT))),
+    ]
+    for seed in range(10):
+        rho = sn.random_two_qubit(np.random.default_rng(seed))
+        cases.append((f"hs random two-qubit seed {seed}",
+                      trained(rho, sn.full_separability((2, 2)), sn.TrainConfig(loss="hs", seed=seed))))
+    bell, iso5 = sn.isotropic(2, 1.0), sn.isotropic(5, 1.0)
+    for seed in range(20):
+        cases.append((f"naive_gd complex seed {seed}", gd(bell, (2, 2), sn.GdConfig(seed=seed))))
+        cases.append((f"naive_gd real-only seed {seed}",
+                      gd(bell, (2, 2), sn.GdConfig(seed=seed, real_only=True))))
+        cases.append((f"naive_gd d=5 seed {seed}", gd(iso5, (5, 5), sn.GdConfig(seed=seed))))
+    return cases
+
+
+def _digest(value) -> str:
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        data = repr((value.dtype.str, value.shape)).encode() + np.ascontiguousarray(value).tobytes()
+    else:
+        data = repr(value).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def emit() -> None:
+    """Run the protocol in this process and print {case: {field: digest}} as JSON."""
+    out = {}
+    for name, run in _cases():
+        out[name] = {field: _digest(value) for field, value in run()}
+    json.dump(out, sys.stdout)
+
+
+def _run_tree(src: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--emit"],
+                            env=env, stdout=subprocess.PIPE, text=True)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--emit"]:
+        emit()
+        return 0
+    if len(argv) != 2 or not all(os.path.isdir(os.path.join(a, "sepnet")) for a in argv):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    procs = [_run_tree(src) for src in argv]
+    results = []
+    for src, proc in zip(argv, procs):
+        stdout, _ = proc.communicate()
+        if proc.returncode != 0:
+            print(f"protocol failed on {src} (exit {proc.returncode})", file=sys.stderr)
+            return 1
+        results.append(json.loads(stdout))
+    old, new = results
+    differ = 0
+    for name in old:
+        fields = [f for f in old[name] if old[name][f] != new.get(name, {}).get(f)]
+        differ += bool(fields)
+        print(f"{'DIFF' if fields else 'same'}  {name}" + (f": {', '.join(fields)}" if fields else ""))
+    print(f"{len(old) - differ} of {len(old)} cases bit-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -35,7 +35,15 @@ from .model import (
 )
 from .optim import GdConfig, TrainConfig, naive_gd, train
 from .scan import scan_family
-from .states import FAMILY_KINDS, FamilySpec, bell_ansatz_state, isotropic, max_entangled, random_two_qubit
+from .states import (
+    FAMILY_KINDS,
+    FamilySpec,
+    bell_ansatz_state,
+    family_parameters,
+    isotropic,
+    max_entangled,
+    random_two_qubit,
+)
 
 
 class UsageError(Exception):
@@ -67,15 +75,31 @@ def parse_structure(text: str, dims: tuple[int, ...]) -> SeparabilityStructure:
     raise UsageError(f"unknown structure {text!r}")
 
 
+# the family parameter each family flag sets
+_FAMILY_FLAGS = {"d": "d", "n": "n", "a": "ansatz", "b": "ansatz", "c": "ansatz", "q": "q"}
+
+
+def _reject_unused_flags(args, used: tuple[str, ...], target: str) -> None:
+    for flag, name in _FAMILY_FLAGS.items():
+        if getattr(args, flag, None) is not None and name not in used:
+            raise UsageError(f"--{flag} is not used by {target}")
+
+
 def _family_from_args(args) -> FamilySpec:
     if args.target is not None or args.family is None:
         raise UsageError(f"{args.command} works on --family targets only")
-    return FamilySpec(args.family, d=args.d, n=args.n, ansatz=(args.a, args.b, args.c))
+    used = family_parameters(args.family)
+    _reject_unused_flags(args, used, f"family {args.family}")
+    fields = {name: getattr(args, name) for name in ("d", "n") if getattr(args, name) is not None}
+    if "ansatz" in used:
+        fields["ansatz"] = tuple(0.0 if x is None else x for x in (args.a, args.b, args.c))
+    return FamilySpec(args.family, **fields)
 
 
 def _target_from_args(args) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
     """Resolve (matrix, dims, description-comment-lines) from --family or --target."""
     if args.target is not None:
+        _reject_unused_flags(args, (), "--target")
         matrix, dims = read_matrix(args.target)
         state = DensityMatrix(matrix, dims)
         return state.matrix, dims, [f"target = file:{args.target}", f"dims = {','.join(map(str, dims))}"]
@@ -83,7 +107,7 @@ def _target_from_args(args) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
         raise UsageError("need either --family or --target")
     family = _family_from_args(args)
     q = args.q
-    if q is None and family.kind != "bell_ansatz":
+    if q is None and "q" in family_parameters(family.kind):
         raise UsageError("--q is required with --family")
     state = family.make(q if q is not None else 0.0)
     desc = family.describe()
@@ -370,11 +394,11 @@ def cmd_ansatz_check(args) -> int:
 def _add_target_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=FAMILY_KINDS, help="built-in state family")
     p.add_argument("--target", help="complex-matrix text file (alternative to --family)")
-    p.add_argument("--d", type=int, default=2, help="local dimension (isotropic/werner)")
-    p.add_argument("--n", type=int, default=3, help="party count (noisy_ghz/noisy_w)")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--d", type=int, default=None, help="local dimension (isotropic/werner)")
+    p.add_argument("--n", type=int, default=None, help="party count (noisy_ghz/noisy_w)")
+    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--c", type=float, default=None)
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
@@ -397,7 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="separable approximations of density matrices via trained decompositions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_workers = int(os.environ.get("SEPNET_WORKERS", "1"))
+    workers = os.environ.get("SEPNET_WORKERS", "1")
+    try:
+        default_workers = int(workers)
+    except ValueError:
+        raise UsageError(f"SEPNET_WORKERS must be an integer, got {workers!r}") from None
 
     p = sub.add_parser("train", help="train one target and write artifacts")
     _add_target_args(p)
@@ -453,9 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         # before ValueError: numpy's LinAlgError is one

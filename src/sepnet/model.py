@@ -13,6 +13,18 @@ with the weights normalized jointly by a softmax and every block amplitude
 vector normalized by its 2-norm.  All raw network outputs pass through a
 logistic sigmoid; amplitude components are mapped affinely from (0, 1) to
 (-1, 1) before normalization so that arbitrary relative phases are reachable.
+
+Partitions whose blocks have the same dimensions, in order, form a group.
+Assembly and backpropagation loop over groups and blocks, not partitions:
+each group's amplitude vectors are stacked on a leading axis, so the
+product-state kernel runs once per group (4-qubit biseparability has 7
+partitions in 3 groups).  Grouping reorders neither partitions nor output
+rows, and every element sees the same floating-point operations as when
+each partition is handled on its own.
+
+The model's four parameter arrays are views into one flat float64 vector,
+``DecompositionModel.flat``, so an optimizer can update all of them with a
+few in-place vector operations.
 """
 from __future__ import annotations
 
@@ -153,10 +165,8 @@ def triseparable(dims: Sequence[int]) -> SeparabilityStructure:
 # --- per-partition index bookkeeping ---------------------------------------
 
 class _PartitionLayout(NamedTuple):
-    blocks: Partition
     block_dims: tuple[int, ...]
     cmap: np.ndarray      # block-order flat index -> canonical flat index
-    rmap: np.ndarray      # canonical flat index -> block-order flat index
     logit_row: int
     block_rows: tuple[slice, ...]
     rows: slice           # all rows of this partition in the output vector
@@ -172,8 +182,6 @@ def _layouts(structure: SeparabilityStructure) -> tuple[_PartitionLayout, ...]:
     for blocks in structure.partitions:
         sigma = tuple(i for b in blocks for i in b)
         cmap = np.ascontiguousarray(idx.transpose(sigma)).ravel()
-        rmap = np.empty(total, dtype=np.intp)
-        rmap[cmap] = np.arange(total)
         block_dims = tuple(int(np.prod([dims[i] for i in b])) for b in blocks)
         logit_row = row
         r = row + 1
@@ -181,11 +189,33 @@ def _layouts(structure: SeparabilityStructure) -> tuple[_PartitionLayout, ...]:
         for bd in block_dims:
             block_rows.append(slice(r, r + 2 * bd))
             r += 2 * bd
-        layouts.append(
-            _PartitionLayout(blocks, block_dims, cmap, rmap, logit_row, tuple(block_rows), slice(row, r))
-        )
+        layouts.append(_PartitionLayout(block_dims, cmap, logit_row, tuple(block_rows), slice(row, r)))
         row = r
     return tuple(layouts)
+
+
+class _Group(NamedTuple):
+    parts: np.ndarray                  # (G,) partition indices, in structure order
+    cmaps: np.ndarray                  # (G, D) the members' cmaps
+    block_dims: tuple[int, ...]        # shared by every member
+    block_rows: tuple[np.ndarray, ...]  # per block: (G, 2m) output rows
+
+
+@lru_cache(maxsize=None)
+def _groups(structure: SeparabilityStructure) -> tuple[np.ndarray, tuple[_Group, ...]]:
+    """Logit row of every partition, and the partitions grouped by block dims."""
+    layouts = _layouts(structure)
+    members: dict[tuple[int, ...], list[int]] = {}
+    for p, lay in enumerate(layouts):
+        members.setdefault(lay.block_dims, []).append(p)
+    groups = []
+    for block_dims, parts in members.items():
+        lays = [layouts[p] for p in parts]
+        block_rows = tuple(np.array([np.arange(r.start, r.stop) for r in rows])
+                           for rows in zip(*(lay.block_rows for lay in lays)))
+        groups.append(_Group(np.array(parts), np.array([lay.cmap for lay in lays]),
+                             block_dims, block_rows))
+    return np.array([lay.logit_row for lay in layouts]), tuple(groups)
 
 
 def output_width(structure: SeparabilityStructure) -> int:
@@ -219,7 +249,11 @@ def reorder_to_canonical(op: np.ndarray, dims: Sequence[int], partition: Sequenc
 # --- the model --------------------------------------------------------------
 
 class DecompositionModel:
-    """One-hidden-layer perceptron producing a mixture of pure product states."""
+    """One-hidden-layer perceptron producing a mixture of pure product states.
+
+    The constructor copies ``w1``, ``b1``, ``w2`` and ``b2`` into one flat
+    vector ``flat``, in that order; the attributes are reshaped views of it.
+    """
 
     def __init__(self, structure: SeparabilityStructure, k_terms: int, width: int,
                  seed: int, w1, b1, w2, b2):
@@ -227,10 +261,13 @@ class DecompositionModel:
         self.k_terms = int(k_terms)
         self.width = int(width)
         self.seed = int(seed)
-        self.w1 = np.asarray(w1, dtype=float)
-        self.b1 = np.asarray(b1, dtype=float)
-        self.w2 = np.asarray(w2, dtype=float)
-        self.b2 = np.asarray(b2, dtype=float)
+        arrays = [np.asarray(a, dtype=float) for a in (w1, b1, w2, b2)]
+        self.flat = np.concatenate(arrays, axis=None)
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.flat[start:start + a.size].reshape(a.shape))
+            start += a.size
+        self.w1, self.b1, self.w2, self.b2 = views
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -271,12 +308,9 @@ def init_model(structure: SeparabilityStructure, k_terms: int | None = None,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -289,47 +323,45 @@ class _Cache(NamedTuple):
     h: np.ndarray
     y: np.ndarray
     weights: np.ndarray          # softmax weights, length K * n_partitions
-    psi_hats: list[list[np.ndarray]]   # per partition, per block: (m, K) complex
-    v_norms: list[list[np.ndarray]]    # per partition, per block: (K,) norms
-    vs: list[list[np.ndarray]]         # per partition, per block: (2m, K) centered reals
+    psi_hats: list[list[np.ndarray]]   # per group, per block: (G, m, K) complex
+    v_norms: list[list[np.ndarray]]    # per group, per block: (G, 1, K) norms
+    vs: list[list[np.ndarray]]         # per group, per block: (G, 2m, K) centered reals
     phis: np.ndarray             # canonical-order product vectors, (D, K * n_partitions)
 
 
 def _evaluate(model: DecompositionModel) -> tuple[np.ndarray, _Cache]:
     """Assemble the mixture for all K terms at once; keep what backward needs."""
     structure = model.structure
-    layouts = _layouts(structure)
+    logit_rows, groups = _groups(structure)
     kk = model.k_terms
     z1 = model.w1 + model.b1[:, None]
     h = np.maximum(z1, 0.0)
     y = _sigmoid(model.w2 @ h + model.b2[:, None])
 
     total = structure.total_dim
-    n_part = len(layouts)
-    phis = np.empty((total, kk * n_part), dtype=complex)
-    logits = np.empty(kk * n_part)
+    # column p * K + k of phis is term k of partition p
+    phis = np.empty((total, len(logit_rows), kk), dtype=complex)
     psi_hats: list[list[np.ndarray]] = []
     v_norms: list[list[np.ndarray]] = []
     vs: list[list[np.ndarray]] = []
-    for p, lay in enumerate(layouts):
-        cols = slice(p * kk, (p + 1) * kk)
-        logits[cols] = y[lay.logit_row]
+    for grp in groups:
         hats, norms, cvs = [], [], []
-        for rows, bd in zip(lay.block_rows, lay.block_dims):
+        for rows, bd in zip(grp.block_rows, grp.block_dims):
             v = 2.0 * y[rows] - 1.0
-            n = np.sqrt((v * v).sum(axis=0))
+            n = np.sqrt((v * v).sum(axis=-2, keepdims=True))
             if np.any(n < 1e-12):
                 raise np.linalg.LinAlgError(
                     "amplitude vector norm below 1e-12; re-initialize with a different seed"
                 )
-            hats.append((v[:bd] + 1j * v[bd:]) / n)
+            hats.append((v[:, :bd] + 1j * v[:, bd:]) / n)
             norms.append(n)
             cvs.append(v)
         psi_hats.append(hats)
         v_norms.append(norms)
         vs.append(cvs)
-        phis[lay.cmap, cols] = _product(hats)
-    weights = _softmax(logits)
+        phis[grp.cmaps, grp.parts[:, None]] = _product(hats)
+    phis = phis.reshape(total, -1)
+    weights = _softmax(y[logit_rows].ravel())
     rho = (phis * weights) @ phis.conj().T
     return rho, _Cache(z1, h, y, weights, psi_hats, v_norms, vs, phis)
 
@@ -337,10 +369,10 @@ def _evaluate(model: DecompositionModel) -> tuple[np.ndarray, _Cache]:
 # --- the product-state kernel, shared with the plain-GD baseline ------------
 
 def _product(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-wise Kronecker product of per-block (m_b, K) vectors: (prod m_b, K)."""
+    """Column-wise Kronecker product of per-block (..., m_b, K) vectors: (..., prod m_b, K)."""
     prod = vectors[0]
     for psi in vectors[1:]:
-        prod = (prod[:, None, :] * psi[None, :, :]).reshape(-1, prod.shape[1])
+        prod = (prod[..., :, None, :] * psi[..., None, :, :]).reshape(prod.shape[:-2] + (-1, prod.shape[-1]))
     return prod
 
 
@@ -349,7 +381,8 @@ def _contractions(n_blocks: int) -> tuple[str, ...]:
     """einsum subscripts contracting a product gradient with every block but one."""
     letters = string.ascii_letters.replace("k", "")[:n_blocks]      # "k" indexes the terms
     return tuple(
-        "k" + letters + "," + ",".join(c + "k" for c in letters if c != out) + "->" + out + "k"
+        "...k" + letters + "," + ",".join("..." + c + "k" for c in letters if c != out)
+        + "->..." + out + "k"
         for out in letters
     )
 
@@ -364,8 +397,13 @@ def _term_gradients(grad_rho: np.ndarray, phis: np.ndarray,
 
 def _block_gradients(g_product: np.ndarray, vectors: Sequence[np.ndarray],
                      block_dims: Sequence[int]) -> list[np.ndarray]:
-    """Gradient wrt each block vector, given the gradient wrt their product."""
-    gt = g_product.T.reshape((g_product.shape[1],) + tuple(block_dims))
+    """Gradient wrt each block vector, given the gradient wrt their product.
+
+    Leading axes of ``g_product`` (..., D, K) and the (..., m_b, K) vectors
+    are carried through.
+    """
+    lead = g_product.shape[:-2]
+    gt = g_product.swapaxes(-1, -2).reshape(lead + (g_product.shape[-1],) + tuple(block_dims))
     conj = [psi.conj() for psi in vectors]
     return [np.einsum(subs, gt, *(c for ob, c in enumerate(conj) if ob != b))
             for b, subs in enumerate(_contractions(len(vectors)))]
@@ -373,7 +411,7 @@ def _block_gradients(g_product: np.ndarray, vectors: Sequence[np.ndarray],
 
 def _through_normalization(unit: np.ndarray, norm: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Chain a gradient wrt u = v/|v| back to v: (g - u Re sum(conj(u) g)) / |v|."""
-    return (grad - unit * (unit.conj() * grad).real.sum(axis=0)) / norm
+    return (grad - unit * (unit.conj() * grad).real.sum(axis=-2, keepdims=True)) / norm
 
 
 class RawTermOutput(NamedTuple):
@@ -409,21 +447,20 @@ def backward(model: DecompositionModel, grad_rho: np.ndarray,
     """
     if cache is None:
         _, cache = _evaluate(model)
-    structure = model.structure
-    layouts = _layouts(structure)
-    kk = model.k_terms
+    logit_rows, groups = _groups(model.structure)
     g = np.asarray(grad_rho)
 
     w_grad, g_phis = _term_gradients(g, cache.phis, cache.weights)
     logit_grad = cache.weights * (w_grad - cache.weights @ w_grad)
 
     dy = np.zeros_like(cache.y)
-    for p, lay in enumerate(layouts):
-        cols = slice(p * kk, (p + 1) * kk)
-        dy[lay.logit_row] = logit_grad[cols]
-        g_psis = _block_gradients(g_phis[:, cols][lay.cmap], cache.psi_hats[p], lay.block_dims)
-        for rows, g_psi, v, n in zip(lay.block_rows, g_psis, cache.vs[p], cache.v_norms[p]):
-            g_hat = np.concatenate([g_psi.real, g_psi.imag], axis=0)      # (2m, K)
+    dy[logit_rows] = logit_grad.reshape(len(logit_rows), -1)
+    g_phis = g_phis.reshape(g_phis.shape[0], len(logit_rows), -1)     # (D, P, K)
+    for grp, hats, vs, norms in zip(groups, cache.psi_hats, cache.vs, cache.v_norms):
+        g_psis = _block_gradients(g_phis[grp.cmaps, grp.parts[:, None]], hats, grp.block_dims)
+        for rows, g_psi, v, n in zip(grp.block_rows, g_psis, vs, norms):
+            g_hat = np.concatenate([g_psi.real, g_psi.imag], axis=-2)     # (G, 2m, K)
+            # add onto the zeros, not assign: a -0.0 gradient lands as +0.0
             dy[rows] += 2.0 * _through_normalization(v / n, n, g_hat)
 
     dz2 = dy * cache.y * (1.0 - cache.y)

@@ -11,6 +11,13 @@ jitters at a noise floor around the optimum, and the best distance seen is
 the lowest dip of that noise.  The run then ends as ``converged``, unless the
 window reaches ``stop_distance`` first.
 
+The Adadelta update works in place on the model's flat parameter vector:
+the gradient dict from ``backward`` is copied into one flat gradient, and
+the accumulators, the best parameters and the temporaries are flat vectors
+allocated once per run.  Every element goes through the same operations in
+the same order as the textbook update, so results do not depend on this
+layout.
+
 The baseline :func:`naive_gd` has its own parametrization (linearly
 normalized weights, free complex amplitudes) but assembles and
 differentiates the mixture with the model's product-state kernel.
@@ -112,20 +119,25 @@ def derived_seed(seed: int, index: int) -> int:
 
 
 def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: TrainConfig,
-                seed: int) -> tuple[float, dict, str, int, int, list[tuple[int, float]]]:
+                seed: int) -> tuple[float, np.ndarray, str, int, int, list[tuple[int, float]]]:
     model = init_model(structure, config.k_terms, config.width, seed)
-    params = model.parameters()
-    acc_g = {k: np.zeros_like(v) for k, v in params.items()}
-    acc_dx = {k: np.zeros_like(v) for k, v in params.items()}
+    x = model.flat
+    names = tuple(model.parameters())
+    acc_g = np.zeros_like(x)
+    acc_dx = np.zeros_like(x)
+    grad = np.empty_like(x)
+    dx = np.empty_like(x)
+    tmp = np.empty_like(x)
     rho_t = target
     best = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_x = x.copy()
     history: list[tuple[int, float]] = []
     batches = 0
     epochs = 0
     prev_best = np.inf
     eps = config.stabilizer
     dec = config.decay
+    rest = 1.0 - dec
 
     def run(epoch: int, batch_range: range, scale: float) -> bool:
         """Adadelta steps with the update scaled by ``scale``; True on separable stop."""
@@ -138,21 +150,30 @@ def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: Tr
                 raise TrainingDivergedError(epoch, batch)
             if value < best:
                 best = value
-                for k, v in params.items():
-                    np.copyto(best_params[k], v)
+                np.copyto(best_x, x)
             if best < config.stop_distance:
                 return True
             grads = backward(model, grad_rho, cache)
-            for k, v in params.items():
-                g = grads[k]
-                ag = acc_g[k]
-                ad = acc_dx[k]
-                ag *= dec
-                ag += (1.0 - dec) * g * g
-                dx = -np.sqrt((ad + eps) / (ag + eps)) * g
-                ad *= dec
-                ad += (1.0 - dec) * dx * dx
-                v += scale * dx
+            np.concatenate([grads[k] for k in names], axis=None, out=grad)
+            # in place, each element in the same order of operations as
+            # ag = dec ag + (1 - dec) g g; dx = -sqrt((ad + eps) / (ag + eps)) g;
+            # ad = dec ad + (1 - dec) dx dx; x += scale dx
+            np.multiply(acc_g, dec, out=acc_g)
+            np.multiply(grad, rest, out=tmp)
+            np.multiply(tmp, grad, out=tmp)
+            np.add(acc_g, tmp, out=acc_g)
+            np.add(acc_dx, eps, out=dx)
+            np.add(acc_g, eps, out=tmp)
+            np.divide(dx, tmp, out=dx)
+            np.sqrt(dx, out=dx)
+            np.negative(dx, out=dx)
+            np.multiply(dx, grad, out=dx)
+            np.multiply(acc_dx, dec, out=acc_dx)
+            np.multiply(dx, rest, out=tmp)
+            np.multiply(tmp, dx, out=tmp)
+            np.add(acc_dx, tmp, out=acc_dx)
+            np.multiply(dx, scale, out=tmp)
+            np.add(x, tmp, out=x)
         return False
 
     per_epoch = config.batches_per_epoch
@@ -172,7 +193,7 @@ def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: Tr
             status = "separable_stop" if stop else "converged"
             break
         prev_best = best
-    return best, best_params, status, epochs, batches, history
+    return best, best_x, status, epochs, batches, history
 
 
 def train(target, structure: SeparabilityStructure, config: TrainConfig | None = None) -> TrainResult:
@@ -203,8 +224,7 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
             break
     value, params, status, seed, history = best_result
     model = init_model(structure, config.k_terms, config.width, seed)
-    for k, v in model.parameters().items():
-        np.copyto(v, params[k])
+    np.copyto(model.flat, params)
     state = DensityMatrix(_evaluate(model)[0], structure.dims)
     final = distance(state.matrix, rho_t, config.loss)
     return TrainResult(

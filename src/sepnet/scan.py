@@ -7,8 +7,9 @@ count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
+from .linalg import DensityMatrix
 from .model import SeparabilityStructure
 from .optim import TrainConfig, derived_seed, train
 from .states import FamilySpec
@@ -23,6 +24,9 @@ class ScanPoint:
     epochs: int
     batches: int
     wall_time: float
+    # the trained state, which ``distance`` is measured from; left out of ==
+    # and hash, which its array does not support
+    state: DensityMatrix = field(compare=False)
 
 
 def _scan_point(args) -> ScanPoint:
@@ -37,6 +41,7 @@ def _scan_point(args) -> ScanPoint:
         epochs=result.epochs,
         batches=result.batches,
         wall_time=result.wall_time,
+        state=result.state,
     )
 
 

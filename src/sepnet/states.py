@@ -222,6 +222,7 @@ class _Family(NamedTuple):
     fields: tuple[str, ...]     # the FamilySpec fields this kind uses
     dims: Callable[["FamilySpec"], tuple[int, ...]]
     member: Callable[["FamilySpec", float], DensityMatrix]
+    uses_q: bool = True         # whether the member depends on q
 
 
 _FAMILIES = {
@@ -232,10 +233,17 @@ _FAMILIES = {
                          lambda f, q: noisy_mix(ghz(f.n), q, (2,) * f.n)),
     "noisy_w": _Family(("n",), lambda f: (2,) * f.n,
                        lambda f, q: noisy_mix(w_state(f.n), q, (2,) * f.n)),
-    "bell_ansatz": _Family(("ansatz",), lambda f: (2, 2), lambda f, q: bell_ansatz_state(*f.ansatz)),
+    "bell_ansatz": _Family(("ansatz",), lambda f: (2, 2), lambda f, q: bell_ansatz_state(*f.ansatz),
+                           uses_q=False),
 }
 FAMILY_KINDS = tuple(_FAMILIES)
 _FIELD_LABELS = {"d": "d", "n": "n", "ansatz": "a,b,c"}
+
+
+def family_parameters(kind: str) -> tuple[str, ...]:
+    """The FamilySpec fields a kind uses, plus ``"q"`` if its members depend on q."""
+    family = FamilySpec(kind)._family()
+    return family.fields + (("q",) if family.uses_q else ())
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,26 @@ class TestExitCodes:
         assert main(args + CHEAP) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_malformed_workers_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEPNET_WORKERS", "abc")
+        args = ["train", "--family", "werner", "--q", "0.6", "--out", str(tmp_path)]
+        assert main(args + CHEAP) == 2
+        assert "SEPNET_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag,source", [
+        (["train", "--family", "bell_ansatz", "--a", "0.125", "--q", "0.2"], "--q", "bell_ansatz"),
+        (["train", "--family", "horodecki", "--d", "5", "--q", "1.0"], "--d", "horodecki"),
+        (["scan", "--family", "noisy_ghz", "--n", "3", "--a", "0.1", "--qs", "0.2,0.3"],
+         "--a", "noisy_ghz"),
+        (["scan", "--family", "isotropic", "--n", "4", "--qs", "0.2,0.3"], "--n", "isotropic"),
+        (["train", "--target", "state.txt", "--d", "2"], "--d", "--target"),   # a file uses none
+    ])
+    def test_family_flag_the_family_does_not_use(self, tmp_path, capsys, argv, flag, source):
+        assert main(argv + ["--out", str(tmp_path)] + CHEAP) == 2
+        err = capsys.readouterr().err
+        assert flag in err and source in err
+        assert not (tmp_path / "train_result.csv").exists()
+
     def test_unknown_structure(self, tmp_path):
         args = ["train", "--family", "werner", "--q", "0.6", "--structure", "pairs",
                 "--out", str(tmp_path)]
@@ -106,6 +126,15 @@ class TestTrainCommand:
         assert rc == 0
         comments, _, _ = read_table(f"{out}/train_result.csv")
         assert any(c.startswith("target = file:") for c in comments)
+
+    def test_bell_ansatz_needs_no_q(self, tmp_path):
+        out = str(tmp_path / "run")
+        rc = main(["train", "--family", "bell_ansatz", "--a", "0.125", "--b", "0.0625",
+                   "--out", out] + CHEAP)
+        assert rc == 0
+        comments, _, _ = read_table(f"{out}/train_result.csv")
+        assert "a,b,c = (0.125, 0.0625, 0.0)" in comments
+        assert not any(c.startswith("q =") for c in comments)
 
 
 class TestScanCommand:

@@ -145,24 +145,46 @@ class TestAssembly:
     def test_matches_manual_reconstruction(self):
         # independent assembly from the raw per-term outputs: softmax the
         # logits jointly over (term, partition), normalize each block
-        # amplitude vector, tensor the blocks, reorder, mix
-        s = biseparable((2, 2, 2))
-        model = init_model(s, k_terms=3, width=20, seed=8)
-        logits, projectors = [], []
-        for k in range(1, model.k_terms + 1):
-            for term, part in zip(forward(model, k), s.partitions):
-                logits.append(term.logit)
-                blocks = []
-                for raw in term.blocks:
-                    m = raw.shape[0] // 2
-                    v = 2.0 * raw - 1.0
-                    psi = (v[:m] + 1j * v[m:]) / np.linalg.norm(v)
-                    blocks.append(psi)
-                phi = reorder_to_canonical(tensor(*blocks), s.dims, part)
-                projectors.append(np.outer(phi, phi.conj()))
-        weights = np.exp(logits) / np.sum(np.exp(logits))
-        expected = sum(w * p for w, p in zip(weights, projectors))
-        assert np.allclose(assemble(model).matrix, expected, atol=1e-12)
+        # amplitude vector, tensor the blocks, reorder, mix; the 4-qubit and
+        # mixed-dims structures have partitions with equal block dims, which
+        # the model assembles together
+        for s in (biseparable((2, 2, 2)), biseparable((2, 2, 2, 2)), triseparable((2, 2, 2, 2)),
+                  size_constrained_biseparable((2, 2, 2, 2), 1), biseparable((2, 3, 2))):
+            model = init_model(s, k_terms=3, width=20, seed=8)
+            logits, projectors = [], []
+            for k in range(1, model.k_terms + 1):
+                for term, part in zip(forward(model, k), s.partitions):
+                    logits.append(term.logit)
+                    blocks = []
+                    for raw in term.blocks:
+                        m = raw.shape[0] // 2
+                        v = 2.0 * raw - 1.0
+                        psi = (v[:m] + 1j * v[m:]) / np.linalg.norm(v)
+                        blocks.append(psi)
+                    phi = reorder_to_canonical(tensor(*blocks), s.dims, part)
+                    projectors.append(np.outer(phi, phi.conj()))
+            weights = np.exp(logits) / np.sum(np.exp(logits))
+            expected = sum(w * p for w, p in zip(weights, projectors))
+            assert np.allclose(assemble(model).matrix, expected, atol=1e-12), s.partitions
+
+    def test_grouped_products_equal_per_partition_loop_exactly(self):
+        # partitions with equal block dims are assembled together; each
+        # product vector must be bit-for-bit what a per-partition pass gives
+        from sepnet.model import _evaluate, _layouts, _product, _sigmoid
+
+        s = biseparable((2, 2, 2, 2))
+        model = init_model(s, k_terms=5, width=12, seed=4)
+        _, cache = _evaluate(model)
+        y = _sigmoid(model.w2 @ np.maximum(model.w1 + model.b1[:, None], 0.0) + model.b2[:, None])
+        kk = model.k_terms
+        for p, lay in enumerate(_layouts(s)):
+            hats = []
+            for rows, bd in zip(lay.block_rows, lay.block_dims):
+                v = 2.0 * y[rows] - 1.0
+                hats.append((v[:bd] + 1j * v[bd:]) / np.sqrt((v * v).sum(axis=0)))
+            expected = np.empty((s.total_dim, kk), dtype=complex)
+            expected[lay.cmap] = _product(hats)
+            assert np.array_equal(cache.phis[:, p * kk:(p + 1) * kk], expected), p
 
     def test_forward_k_range(self):
         model = init_model(full_separability((2, 2)), k_terms=4)
@@ -210,6 +232,17 @@ class TestCheckpoint:
         np.savez(path, version=np.array(99))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    def test_parameters_share_one_buffer(self):
+        model = init_model(biseparable((2, 2, 2)), k_terms=3, width=5, seed=0)
+        params = model.parameters()
+        assert sum(v.size for v in params.values()) == model.flat.size
+        assert all(np.shares_memory(v, model.flat) for v in params.values())
+        model.flat[:] = 0.25
+        assert all(np.all(v == 0.25) for v in params.values())
+        clone = model.copy()
+        assert not any(np.shares_memory(v, model.flat) for v in clone.parameters().values())
+        assert all(np.shares_memory(v, clone.flat) for v in clone.parameters().values())
 
     def test_copy_is_independent(self):
         model = init_model(full_separability((2, 2)), seed=1)

@@ -6,13 +6,16 @@ from sepnet import (
     GdConfig,
     TrainConfig,
     TrainingDivergedError,
+    biseparable,
     derived_seed,
     distance,
     full_separability,
     init_model,
     isotropic,
     naive_gd,
+    random_density_matrix,
     train,
+    triseparable,
     werner,
 )
 from sepnet.model import _evaluate
@@ -102,6 +105,30 @@ class TestLoss:
             model.b2[:] = keep + sign * h * direction
             values.append(loss_value_and_gradient(_evaluate(model)[0], target, "hs")[0])
         assert (values[0] - values[1]) / (2 * h) == pytest.approx(slope, rel=1e-5)
+
+    @pytest.mark.parametrize("make", [biseparable, triseparable])
+    def test_backprop_through_partition_groups(self, make, rng):
+        # 4 qubits: partitions with equal block dims share one pass of the
+        # kernel; one directional central difference per parameter array
+        from sepnet.model import backward
+
+        structure = make((2,) * 4)
+        model = init_model(structure, k_terms=3, width=4, seed=2)
+        target = random_density_matrix(16, rng).matrix
+        rho, cache = _evaluate(model)
+        _, grad_rho = loss_value_and_gradient(rho, target, "hs")
+        grads = backward(model, grad_rho, cache)
+        h = 1e-6
+        for name, arr in model.parameters().items():
+            direction = rng.standard_normal(arr.shape)
+            slope = np.vdot(grads[name], direction)
+            keep = arr.copy()
+            values = []
+            for sign in (1, -1):
+                arr[...] = keep + sign * h * direction
+                values.append(loss_value_and_gradient(_evaluate(model)[0], target, "hs")[0])
+            arr[...] = keep
+            assert (values[0] - values[1]) / (2 * h) == pytest.approx(slope, rel=1e-5), name
 
 
 class TestDerivedSeed:

@@ -1,5 +1,7 @@
 """Tests for the grid sweeps."""
-from sepnet import FamilySpec, TrainConfig, derived_seed, full_separability, scan_family
+import numpy as np
+
+from sepnet import FamilySpec, TrainConfig, derived_seed, distance, full_separability, scan_family
 
 CHEAP = TrainConfig(seed=5, max_epochs=1, batches_per_epoch=30)
 
@@ -22,3 +24,13 @@ def test_worker_count_does_not_change_results():
     parallel = scan_family(family, qs, full_separability((2, 2)), CHEAP, workers=2)
     for a, b in zip(serial, parallel):
         assert (a.q, a.distance, a.status, a.seed) == (b.q, b.distance, b.status, b.seed)
+
+
+def test_points_carry_the_trained_state():
+    family = FamilySpec("isotropic", d=2)
+    qs = [0.4, 0.8]
+    serial = scan_family(family, qs, full_separability((2, 2)), CHEAP)
+    parallel = scan_family(family, qs, full_separability((2, 2)), CHEAP, workers=2)
+    for p, other in zip(serial, parallel):
+        assert p.distance == distance(p.state, family.make(p.q), CHEAP.loss)
+        assert np.array_equal(p.state.matrix, other.state.matrix)
