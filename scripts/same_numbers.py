@@ -8,9 +8,11 @@ OLD_SRC and NEW_SRC are directories that contain the ``sepnet`` package
 tree, in its own subprocess with that tree on ``PYTHONPATH`` and one BLAS
 thread.  Every case is reduced to a digest of its exact bytes: for ``train``
 the batch count, status, epochs, history, every parameter array, the
-reported distance and the state; for ``naive_gd`` the distance curve and the
-state.  One line is printed per case; the exit status is 1 if any case
-differs, 0 otherwise.  The two trees run side by side; on a 2-core x86-64
+reported distance and the state; for ``scan_family`` every point; for
+``naive_gd`` the distance curve and the state; for ``closest_ppt_hs`` the
+state, distance and iteration count; for ``css_ansatz_two_qubit`` the
+candidate, its validity and its distance.  One line is printed per case;
+the exit status is 1 if any case differs, 0 otherwise.  The two trees run side by side; on a 2-core x86-64
 box the whole check takes under a minute.
 """
 import hashlib
@@ -36,6 +38,27 @@ def _cases():
             return fields + sorted(r.model.parameters().items())
         return run
 
+    def scanned(family, qs, structure, config):
+        def run():
+            return [(f"point {i}", (p.q, float(p.distance).hex(), p.status, p.seed, p.epochs,
+                                    p.batches, _digest(p.state.matrix)))
+                    for i, p in enumerate(sn.scan_family(family, qs, structure, config))]
+        return run
+
+    def projected(rho):
+        def run():
+            r = sn.closest_ppt_hs(rho)
+            return [("state", r.state.matrix), ("distance", float(r.distance).hex()),
+                    ("iterations", r.iterations)]
+        return run
+
+    def ansatz(rho):
+        def run():
+            r = sn.css_ansatz_two_qubit(rho)
+            return [("candidate", r.candidate), ("valid", r.valid),
+                    ("distance", None if r.distance is None else float(r.distance).hex())]
+        return run
+
     def gd(target, dims, config):
         def run():
             r = sn.naive_gd(target, dims, config)
@@ -58,11 +81,18 @@ def _cases():
         ("w n=3 bisep", trained(w3, sn.biseparable((2, 2, 2)), sn.TrainConfig(**SHORT))),
         ("random (2,3,2) bisep", trained(mixed, sn.biseparable((2, 3, 2)),
                                          sn.TrainConfig(**SHORT))),
+        ("werner d=2 q=0.8 restarts=2", trained(sn.werner(2, 0.8), sn.full_separability((2, 2)),
+                                                sn.TrainConfig(restarts=2, **SHORT))),
+        ("isotropic d=2 scan", scanned(sn.FamilySpec("isotropic", d=2), [0.2, 0.4, 0.6],
+                                       sn.full_separability((2, 2)), sn.TrainConfig(max_epochs=1))),
     ]
     for seed in range(10):
         rho = sn.random_two_qubit(np.random.default_rng(seed))
         cases.append((f"hs random two-qubit seed {seed}",
                       trained(rho, sn.full_separability((2, 2)), sn.TrainConfig(loss="hs", seed=seed))))
+        cases.append((f"closest_ppt_hs random two-qubit seed {seed}", projected(rho)))
+        if sn.is_npt(rho, (2, 2)):
+            cases.append((f"css_ansatz random two-qubit seed {seed}", ansatz(rho)))
     bell, iso5 = sn.isotropic(2, 1.0), sn.isotropic(5, 1.0)
     for seed in range(20):
         cases.append((f"naive_gd complex seed {seed}", gd(bell, (2, 2), sn.GdConfig(seed=seed))))

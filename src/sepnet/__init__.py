@@ -19,12 +19,10 @@ from .model import (
     biseparable,
     default_k,
     fixed_partition,
-    forward,
     full_separability,
     init_model,
     output_width,
     load_checkpoint,
-    reorder_to_canonical,
     save_checkpoint,
     size_constrained_biseparable,
     triseparable,

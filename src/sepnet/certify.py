@@ -32,15 +32,20 @@ from .model import SeparabilityStructure, biseparable, full_separability
 from .optim import TrainConfig, train
 from .states import FamilySpec
 
+NPT_TOL = 1e-12          # a partial-transpose eigenvalue below -NPT_TOL is negative
+ANSATZ_TOL = 1e-9        # spectrum slack the two-qubit ansatz candidate may show
+PPT_TOL = 1e-8           # Dykstra stops once its gap and step are both below this
+PPT_MAX_ITER = 50000
+
 
 def ppt_min_eigenvalue(rho, dims, cut: int | tuple[int, ...] = 0) -> float:
     """Smallest eigenvalue of the partial transpose across the given cut."""
     return min_eigenvalue(partial_transpose(as_matrix(rho), dims, cut))
 
 
-def is_npt(rho, dims, cut: int | tuple[int, ...] = 0, tol: float = 1e-12) -> bool:
+def is_npt(rho, dims, cut: int | tuple[int, ...] = 0) -> bool:
     """Whether the state has a negative partial transpose across the cut."""
-    return ppt_min_eigenvalue(rho, dims, cut) < -tol
+    return ppt_min_eigenvalue(rho, dims, cut) < -NPT_TOL
 
 
 # --- closed-form two-qubit ansatz -------------------------------------------
@@ -61,7 +66,7 @@ class AnsatzResult:
     distance: float | None
 
 
-def css_ansatz_two_qubit(rho, tol: float = 1e-9) -> AnsatzResult:
+def css_ansatz_two_qubit(rho) -> AnsatzResult:
     """Closed-form closest-separable-state candidate for an NPT two-qubit state.
 
     Eigendecompose the partial transpose, zero out its (single) negative
@@ -82,7 +87,7 @@ def css_ansatz_two_qubit(rho, tol: float = 1e-9) -> AnsatzResult:
     candidate = partial_transpose((u * w2) @ u.conj().T, (2, 2), 1)
     candidate = hermitianize(candidate)
     cand_lo = min_eigenvalue(candidate)
-    valid = cand_lo >= -tol and w2[1] >= -tol
+    valid = cand_lo >= -ANSATZ_TOL and w2[1] >= -ANSATZ_TOL
     if not valid:
         return AnsatzResult(False, -float(lam), candidate, cand_lo, None, None)
     state = DensityMatrix(candidate, (2, 2))
@@ -119,13 +124,13 @@ class PptProjection:
     iterations: int
 
 
-def closest_ppt_hs(rho, dims=(2, 2), tol: float = 1e-8, max_iter: int = 50000) -> PptProjection:
+def closest_ppt_hs(rho, dims=(2, 2)) -> PptProjection:
     """Hilbert-Schmidt projection onto the PPT density matrices.
 
     Dykstra-corrected alternating projections between the density matrices
     and the PT-PSD set; the corrections make the iteration converge to the
     true metric projection onto the intersection, not merely a feasible
-    point.  Dykstra leaves the partial transpose PSD only to within ``tol``,
+    point.  Dykstra leaves the partial transpose PSD only to within ``PPT_TOL``,
     so the result is mixed with I/D at the least weight that makes it exactly
     PPT.  For two qubits the PPT set equals the separable set, so the
     returned distance is the exact HS distance to the separable states.
@@ -135,7 +140,7 @@ def closest_ppt_hs(rho, dims=(2, 2), tol: float = 1e-8, max_iter: int = 50000) -
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     y_prev = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, PPT_MAX_ITER + 1):
         y = _project_density(x + p)
         p = x + p - y
         x = _project_pt_psd(y + q, dims)
@@ -143,7 +148,7 @@ def closest_ppt_hs(rho, dims=(2, 2), tol: float = 1e-8, max_iter: int = 50000) -
         gap = hs_distance(y, x)
         step = np.inf if y_prev is None else hs_distance(y, y_prev)
         y_prev = y
-        if gap < tol and step < tol:
+        if gap < PPT_TOL and step < PPT_TOL:
             m = _project_density(y)
             # mixing in I/D at weight t lifts the PT minimum to (1-t) lam + t/D = 0
             total = len(m)
@@ -154,7 +159,7 @@ def closest_ppt_hs(rho, dims=(2, 2), tol: float = 1e-8, max_iter: int = 50000) -
             state = DensityMatrix(m, tuple(dims))
             return PptProjection(state, hs_distance(target, state.matrix), it)
     raise RuntimeError(
-        f"alternating projections did not converge within {max_iter} iterations "
+        f"alternating projections did not converge within {PPT_MAX_ITER} iterations "
         f"(last gap {gap:.3e})"
     )
 

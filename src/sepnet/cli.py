@@ -3,18 +3,21 @@
 Every subcommand writes CSV artifacts with a ``#``-comment header carrying
 the full configuration and seeds, so any row can be recomputed exactly.
 
-Exit codes: 0 success, 2 usage/validation error, 3 numeric failure.
+Exit codes: 0 success, 2 usage/validation error (including a missing or
+unreadable input file and an output path that cannot be written), 3 numeric
+failure.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .certify import (
+    NPT_TOL,
     certify_grid,
     closest_ppt_hs,
     css_ansatz_two_qubit,
@@ -33,7 +36,7 @@ from .model import (
     size_constrained_biseparable,
     triseparable,
 )
-from .optim import GdConfig, TrainConfig, naive_gd, train
+from .optim import ADADELTA_DECAY, ADADELTA_STABILIZER, GdConfig, TrainConfig, naive_gd, train
 from .scan import scan_family
 from .states import (
     FAMILY_KINDS,
@@ -131,18 +134,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _config_comments(config: TrainConfig) -> list[str]:
-    return [
-        f"loss = {config.loss}",
-        f"k_terms = {config.k_terms}",
-        f"width = {config.width}",
-        f"seed = {config.seed}",
-        f"restarts = {config.restarts}",
-        f"max_epochs = {config.max_epochs}",
-        f"batches_per_epoch = {config.batches_per_epoch}",
-        f"stop_distance = {config.stop_distance!r}",
-        f"convergence_delta = {config.convergence_delta!r}",
-        f"decay = {config.decay!r}",
-        f"stabilizer = {config.stabilizer!r}",
+    return [f"{f.name} = {getattr(config, f.name)}" for f in fields(config)] + [
+        f"decay = {ADADELTA_DECAY!r}",
+        f"stabilizer = {ADADELTA_STABILIZER!r}",
     ]
 
 
@@ -183,8 +177,8 @@ def cmd_train(args) -> int:
     matrix, dims, desc = _target_from_args(args)
     structure = parse_structure(args.structure, dims)
     config = _train_config(args)
-    result = train(matrix, structure, config)
     out = _out_dir(args)
+    result = train(matrix, structure, config)
     comments = desc + [f"structure = {args.structure}"] + _config_comments(config)
     write_table(
         os.path.join(out, "train_result.csv"),
@@ -206,8 +200,8 @@ def cmd_scan(args) -> int:
     dims = family.dims()
     structure = parse_structure(args.structure, dims)
     config = _train_config(args)
-    points = scan_family(family, qs, structure, config, workers=args.workers)
     out = _out_dir(args)
+    points = scan_family(family, qs, structure, config, workers=args.workers)
     path = os.path.join(out, "scan.csv")
     comments = (family.describe() + [f"structure = {args.structure}", f"workers = {args.workers}"]
                 + _config_comments(config))
@@ -239,12 +233,18 @@ def cmd_scan(args) -> int:
 def cmd_certify(args) -> int:
     family = _family_from_args(args)
     qs = _parse_grid(args)
+    if args.eps_prime_min <= 0 or args.eps_prime_max <= 0:
+        raise UsageError("--eps-prime-min and --eps-prime-max must be positive")
+    if args.eps_prime_min > args.eps_prime_max:
+        raise UsageError("--eps-prime-min must not exceed --eps-prime-max")
+    if args.eps_prime_points < 1:
+        raise UsageError("--eps-prime-points must be >= 1")
     grid = np.logspace(np.log10(args.eps_prime_min), np.log10(args.eps_prime_max),
                        args.eps_prime_points)
     config = _train_config(args)
+    out = _out_dir(args)
     results = certify_grid(family, qs, notion=args.notion, epsilon=args.epsilon,
                            eps_prime_grid=grid, train_config=config)
-    out = _out_dir(args)
     path = os.path.join(out, "certificates.csv")
 
     def fmt(x):
@@ -279,20 +279,20 @@ def cmd_random_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     structure = full_separability((2, 2))
     config = _train_config(args)
+    out = _out_dir(args)
     rows = []
     for index in range(args.count):
         rho = random_two_qubit(rng).matrix
         min_eig = ppt_min_eigenvalue(rho, (2, 2))
         result = train(rho, structure, replace(config, seed=args.seed * 100_003 + index))
         ansatz = ""
-        if min_eig < -1e-12:
+        if min_eig < -NPT_TOL:
             res = css_ansatz_two_qubit(rho)
             if res.valid:
                 ansatz = f"{res.distance!r}"
         projection = closest_ppt_hs(rho)
         rows.append([index, f"{min_eig!r}", f"{result.distance!r}", ansatz,
                      f"{projection.distance!r}"])
-    out = _out_dir(args)
     path = os.path.join(out, "random_bench.csv")
     write_table(
         path,
@@ -308,6 +308,7 @@ def cmd_random_bench(args) -> int:
 def cmd_gd_bench(args) -> int:
     bell = isotropic(2, 1.0)
     iso5 = isotropic(5, 1.0)
+    out = _out_dir(args)
     rows = []
     for label, state, dims in (("bell", bell, (2, 2)), ("isotropic5", iso5, (5, 5))):
         for mode in ("complex", "real"):
@@ -319,7 +320,6 @@ def cmd_gd_bench(args) -> int:
                     [label, mode, run, rnd, f"{d!r}"]
                     for rnd, d in enumerate(result.distances)
                 )
-    out = _out_dir(args)
     path = os.path.join(out, "gd_bench.csv")
     write_table(
         path,
@@ -404,15 +404,16 @@ def _add_target_args(p: argparse.ArgumentParser) -> None:
 def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--structure", default="full",
                    help="full | bisep | bisep-m<M> | trisep | explicit like '0|12'")
-    p.add_argument("--loss", choices=("trace", "hs"), default="trace")
-    p.add_argument("--k", type=int, default=None, help="decomposition terms per partition")
-    p.add_argument("--width", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-epochs", type=int, default=10)
-    p.add_argument("--batches", type=int, default=3000)
-    p.add_argument("--stop-distance", type=float, default=2e-3)
-    p.add_argument("--convergence-delta", type=float, default=2e-4)
+    p.add_argument("--loss", choices=("trace", "hs"), default=TrainConfig.loss)
+    p.add_argument("--k", type=int, default=TrainConfig.k_terms,
+                   help="decomposition terms per partition")
+    p.add_argument("--width", type=int, default=TrainConfig.width)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--restarts", type=int, default=TrainConfig.restarts)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batches", type=int, default=TrainConfig.batches_per_epoch)
+    p.add_argument("--stop-distance", type=float, default=TrainConfig.stop_distance)
+    p.add_argument("--convergence-delta", type=float, default=TrainConfig.convergence_delta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +489,8 @@ def main(argv=None) -> int:
         # before ValueError: numpy's LinAlgError is one
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # an OSError's message names the file it concerns
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,8 @@ def write_matrix(path, matrix: np.ndarray, dims) -> None:
 
 def read_matrix(path) -> tuple[np.ndarray, tuple[int, ...]]:
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty matrix file")
     dims = tuple(int(t) for t in lines[0].split())
     side = int(np.prod(dims))
     rows = []

@@ -98,14 +98,15 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix together with its tensor factorization.
 
     ``dims`` records the local dimension of each party; their product must
     equal the matrix side.  Construction checks finite entries, Hermiticity,
     unit trace and positive semidefiniteness and raises ``ValueError`` with
-    the offending quantity otherwise.
+    the offending quantity otherwise.  Two density matrices are equal when
+    their dims and entries are; like its array, the class is unhashable.
     """
 
     matrix: np.ndarray
@@ -129,6 +130,11 @@ class DensityMatrix:
         lo = min_eigenvalue(hermitianize(m))
         if lo < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return self.dims == other.dims and bool(np.array_equal(self.matrix, other.matrix))
 
     @property
     def side(self) -> int:

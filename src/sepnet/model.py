@@ -162,88 +162,54 @@ def triseparable(dims: Sequence[int]) -> SeparabilityStructure:
     return SeparabilityStructure(dims, tuple(sorted(parts)))
 
 
-# --- per-partition index bookkeeping ---------------------------------------
-
-class _PartitionLayout(NamedTuple):
-    block_dims: tuple[int, ...]
-    cmap: np.ndarray      # block-order flat index -> canonical flat index
-    logit_row: int
-    block_rows: tuple[slice, ...]
-    rows: slice           # all rows of this partition in the output vector
-
-
-@lru_cache(maxsize=None)
-def _layouts(structure: SeparabilityStructure) -> tuple[_PartitionLayout, ...]:
-    dims = structure.dims
-    total = structure.total_dim
-    idx = np.arange(total).reshape(dims)
-    layouts = []
-    row = 0
-    for blocks in structure.partitions:
-        sigma = tuple(i for b in blocks for i in b)
-        cmap = np.ascontiguousarray(idx.transpose(sigma)).ravel()
-        block_dims = tuple(int(np.prod([dims[i] for i in b])) for b in blocks)
-        logit_row = row
-        r = row + 1
-        block_rows = []
-        for bd in block_dims:
-            block_rows.append(slice(r, r + 2 * bd))
-            r += 2 * bd
-        layouts.append(_PartitionLayout(block_dims, cmap, logit_row, tuple(block_rows), slice(row, r)))
-        row = r
-    return tuple(layouts)
-
+# --- where each partition sits in the network output ------------------------
 
 class _Group(NamedTuple):
     parts: np.ndarray                  # (G,) partition indices, in structure order
-    cmaps: np.ndarray                  # (G, D) the members' cmaps
+    cmaps: np.ndarray                  # (G, D) block-order flat index -> canonical flat index
     block_dims: tuple[int, ...]        # shared by every member
     block_rows: tuple[np.ndarray, ...]  # per block: (G, 2m) output rows
 
 
+class _Layout(NamedTuple):
+    width: int                  # output rows per term index
+    logit_rows: np.ndarray      # (P,) the weight-logit row of every partition
+    groups: tuple[_Group, ...]  # the partitions grouped by ordered block dims
+
+
 @lru_cache(maxsize=None)
-def _groups(structure: SeparabilityStructure) -> tuple[np.ndarray, tuple[_Group, ...]]:
-    """Logit row of every partition, and the partitions grouped by block dims."""
-    layouts = _layouts(structure)
-    members: dict[tuple[int, ...], list[int]] = {}
-    for p, lay in enumerate(layouts):
-        members.setdefault(lay.block_dims, []).append(p)
+def _layout(structure: SeparabilityStructure) -> _Layout:
+    """The output rows of every partition, and the partitions grouped by block dims.
+
+    Per partition, in structure order, the output holds one weight-logit row
+    and then, per block of dimension m, m real parts and m imaginary parts.
+    """
+    dims = structure.dims
+    idx = np.arange(structure.total_dim).reshape(dims)
+    logit_rows = []
+    members: dict[tuple[int, ...], list] = {}
+    row = 0
+    for p, blocks in enumerate(structure.partitions):
+        cmap = np.ascontiguousarray(idx.transpose([i for b in blocks for i in b])).ravel()
+        block_dims = tuple(int(np.prod([dims[i] for i in b])) for b in blocks)
+        logit_rows.append(row)
+        row += 1
+        block_rows = []
+        for bd in block_dims:
+            block_rows.append(np.arange(row, row + 2 * bd))
+            row += 2 * bd
+        members.setdefault(block_dims, []).append((p, cmap, block_rows))
     groups = []
-    for block_dims, parts in members.items():
-        lays = [layouts[p] for p in parts]
-        block_rows = tuple(np.array([np.arange(r.start, r.stop) for r in rows])
-                           for rows in zip(*(lay.block_rows for lay in lays)))
-        groups.append(_Group(np.array(parts), np.array([lay.cmap for lay in lays]),
-                             block_dims, block_rows))
-    return np.array([lay.logit_row for lay in layouts]), tuple(groups)
+    for block_dims, ms in members.items():
+        parts, cmaps, rows = zip(*ms)
+        groups.append(_Group(np.array(parts), np.array(cmaps), block_dims,
+                             tuple(np.array(block) for block in zip(*rows))))
+    return _Layout(row, np.array(logit_rows), tuple(groups))
 
 
 def output_width(structure: SeparabilityStructure) -> int:
     """Rows of the network output consumed per term index."""
-    return _layouts(structure)[-1].rows.stop
-
-
-def reorder_to_canonical(op: np.ndarray, dims: Sequence[int], partition: Sequence[Sequence[int]]) -> np.ndarray:
-    """Bring an operator assembled blockwise back to canonical party order.
-
-    ``op`` acts on the tensor product of the partition's blocks in their
-    listed order; the result acts on parties 0..n-1 in canonical order.
-    """
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    idx = np.arange(total).reshape(dims)
-    sigma = tuple(i for b in partition for i in b)
-    if sorted(sigma) != list(range(len(dims))):
-        raise ValueError(f"partition {partition} is not a permutation of the parties")
-    cmap = np.ascontiguousarray(idx.transpose(sigma)).ravel()
-    rmap = np.empty(total, dtype=np.intp)
-    rmap[cmap] = np.arange(total)
-    op = np.asarray(op)
-    if op.shape == (total,):
-        return op[rmap]
-    if op.shape == (total, total):
-        return op[np.ix_(rmap, rmap)]
-    raise ValueError(f"operator shape {op.shape} does not match dims {dims}")
+    return _layout(structure).width
 
 
 # --- the model --------------------------------------------------------------
@@ -332,7 +298,7 @@ class _Cache(NamedTuple):
 def _evaluate(model: DecompositionModel) -> tuple[np.ndarray, _Cache]:
     """Assemble the mixture for all K terms at once; keep what backward needs."""
     structure = model.structure
-    logit_rows, groups = _groups(structure)
+    _, logit_rows, groups = _layout(structure)
     kk = model.k_terms
     z1 = model.w1 + model.b1[:, None]
     h = np.maximum(z1, 0.0)
@@ -414,24 +380,6 @@ def _through_normalization(unit: np.ndarray, norm: np.ndarray, grad: np.ndarray)
     return (grad - unit * (unit.conj() * grad).real.sum(axis=-2, keepdims=True)) / norm
 
 
-class RawTermOutput(NamedTuple):
-    logit: float
-    blocks: list[np.ndarray]
-
-
-def forward(model: DecompositionModel, k: int) -> list[RawTermOutput]:
-    """Raw sigmoid outputs for term index k (1-based), one entry per partition."""
-    if not 1 <= k <= model.k_terms:
-        raise ValueError(f"k must be in [1, {model.k_terms}]")
-    col = k - 1
-    z1 = model.w1[:, col] + model.b1
-    y = _sigmoid(model.w2 @ np.maximum(z1, 0.0) + model.b2)
-    out = []
-    for lay in _layouts(model.structure):
-        out.append(RawTermOutput(float(y[lay.logit_row]), [y[rows].copy() for rows in lay.block_rows]))
-    return out
-
-
 def assemble(model: DecompositionModel) -> DensityMatrix:
     """Evaluate the model for every term and return the mixed state it encodes."""
     rho, _ = _evaluate(model)
@@ -447,7 +395,7 @@ def backward(model: DecompositionModel, grad_rho: np.ndarray,
     """
     if cache is None:
         _, cache = _evaluate(model)
-    logit_rows, groups = _groups(model.structure)
+    _, logit_rows, groups = _layout(model.structure)
     g = np.asarray(grad_rho)
 
     w_grad, g_phis = _term_gradients(g, cache.phis, cache.weights)

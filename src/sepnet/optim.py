@@ -36,6 +36,18 @@ from .model import (DecompositionModel, SeparabilityStructure, _block_gradients,
 SIGN_EIGENVALUE_CUTOFF = 1e-12
 SETTLE_SCALE = 0.1      # Adadelta update scale in the settling window after a plateau
 SETTLE_FRACTION = 30    # settling window length is batches_per_epoch // SETTLE_FRACTION
+ADADELTA_DECAY = 0.95         # Adadelta average decay
+ADADELTA_STABILIZER = 1e-6    # Adadelta epsilon
+# the plain-GD baseline's fixed settings
+GD_K_TERMS = 16
+GD_LEARNING_RATE = 1.0
+GD_LR_DECAY = 0.98
+GD_MOMENTUM = 0.2
+GD_LOSS = "trace"
+# stddev of the Gaussian amplitude init; larger values start the product
+# vectors further from the unit sphere, where the normalized-gradient steps
+# are smaller and plain GD tends to stall above the true optimum
+GD_INIT_SCALE = 2.0
 _DISTANCES = {"trace": trace_distance, "hs": hs_distance}
 
 
@@ -93,8 +105,11 @@ class TrainConfig:
     # tenfold smaller step follows, then the run ends; 0 disables the plateau
     # stop, which helps on slowly-descending separable targets
     convergence_delta: float = 2e-4
-    decay: float = 0.95        # Adadelta average decay
-    stabilizer: float = 1e-6   # Adadelta epsilon
+
+    def __post_init__(self):
+        for name in ("restarts", "max_epochs", "batches_per_epoch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -135,8 +150,8 @@ def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: Tr
     batches = 0
     epochs = 0
     prev_best = np.inf
-    eps = config.stabilizer
-    dec = config.decay
+    eps = ADADELTA_STABILIZER
+    dec = ADADELTA_DECAY
     rest = 1.0 - dec
 
     def run(epoch: int, batch_range: range, scale: float) -> bool:
@@ -213,7 +228,7 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
     best_result = None
     tot_epochs = 0
     tot_batches = 0
-    for r in range(max(1, config.restarts)):
+    for r in range(config.restarts):
         seed = derived_seed(config.seed, r) if config.restarts > 1 else config.seed
         value, params, status, epochs, batches, history = _train_once(rho_t, structure, config, seed)
         tot_epochs += epochs
@@ -245,18 +260,9 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
 
 @dataclass
 class GdConfig:
-    k_terms: int = 16
     rounds: int = 250
-    learning_rate: float = 1.0
-    lr_decay: float = 0.98
-    momentum: float = 0.2
     real_only: bool = False
-    loss: str = "trace"
     seed: int = 0
-    # stddev of the Gaussian amplitude init; larger values start the product
-    # vectors further from the unit sphere, where the normalized-gradient
-    # steps are smaller and plain GD tends to stall above the true optimum
-    init_scale: float = 2.0
 
 
 @dataclass
@@ -278,19 +284,19 @@ def naive_gd(target, dims: tuple[int, ...], config: GdConfig | None = None) -> G
         config = GdConfig()
     rho_t = as_matrix(target)
     rng = np.random.default_rng(config.seed)
-    kk = config.k_terms
+    kk = GD_K_TERMS
     raw_p = rng.uniform(0.5, 1.5, size=kk)
     amps = []
     for d in dims:
-        a = config.init_scale * rng.standard_normal((d, kk))
+        a = GD_INIT_SCALE * rng.standard_normal((d, kk))
         if not config.real_only:
-            a = a + 1j * config.init_scale * rng.standard_normal((d, kk))
+            a = a + 1j * GD_INIT_SCALE * rng.standard_normal((d, kk))
         amps.append(a.astype(complex))
     vel_p = np.zeros_like(raw_p)
     vel_a = [np.zeros_like(a) for a in amps]
 
     distances = np.empty(config.rounds + 1)
-    lr = config.learning_rate
+    lr = GD_LEARNING_RATE
     for rnd in range(config.rounds + 1):
         p = np.maximum(raw_p, 1e-12)
         s = p.sum()
@@ -299,7 +305,7 @@ def naive_gd(target, dims: tuple[int, ...], config: GdConfig | None = None) -> G
         hats = [a / n for a, n in zip(amps, norms)]
         phi = _product(hats)
         rho = (phi * probs) @ phi.conj().T
-        value, grad_rho = loss_value_and_gradient(rho, rho_t, config.loss)
+        value, grad_rho = loss_value_and_gradient(rho, rho_t, GD_LOSS)
         distances[rnd] = value
         if rnd == config.rounds:
             break
@@ -312,11 +318,11 @@ def naive_gd(target, dims: tuple[int, ...], config: GdConfig | None = None) -> G
               for h, n, g in zip(hats, norms, _block_gradients(g_phi, hats, dims))]
         if config.real_only:
             ga = [g.real.astype(complex) for g in ga]
-        vel_p = config.momentum * vel_p - lr * gp
+        vel_p = GD_MOMENTUM * vel_p - lr * gp
         raw_p = np.maximum(raw_p + vel_p, 0.0)
         for b, g in enumerate(ga):
-            vel_a[b] = config.momentum * vel_a[b] - lr * g
+            vel_a[b] = GD_MOMENTUM * vel_a[b] - lr * g
             amps[b] = amps[b] + vel_a[b]
-        lr *= config.lr_decay
+        lr *= GD_LR_DECAY
     state = DensityMatrix(rho, tuple(dims))
     return GdResult(distances=distances, state=state)

@@ -25,7 +25,8 @@ class ScanPoint:
     batches: int
     wall_time: float
     # the trained state, which ``distance`` is measured from; left out of ==
-    # and hash, which its array does not support
+    # and hash only because a frozen dataclass hashes the fields it compares,
+    # and a DensityMatrix is unhashable
     state: DensityMatrix = field(compare=False)
 
 

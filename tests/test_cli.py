@@ -1,4 +1,6 @@
 """End-to-end tests of the command-line interface and its CSV artifacts."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,43 @@ class TestExitCodes:
         assert flag in err and source in err
         assert not (tmp_path / "train_result.csv").exists()
 
+    def test_missing_target_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.txt")
+        assert main(["train", "--target", missing, "--out", str(tmp_path / "run")] + CHEAP) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_empty_target_file(self, tmp_path, capsys):
+        target = tmp_path / "empty.txt"
+        target.write_text("")
+        assert main(["train", "--target", str(target), "--out", str(tmp_path / "run")] + CHEAP) == 2
+        assert str(target) in capsys.readouterr().err
+
+    def test_out_names_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        args = ["train", "--family", "werner", "--q", "0.6", "--out", str(out)]
+        assert main(args + CHEAP) == 2
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--batches", "--max-epochs", "--restarts"])
+    def test_config_that_cannot_train(self, tmp_path, capsys, flag):
+        args = ["train", "--family", "isotropic", "--q", "0.9", "--out", str(tmp_path)]
+        assert main(args + CHEAP + [flag, "0"]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "train_result.csv").exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--eps-prime-min", "0"], "must be positive"),
+        (["--eps-prime-max", "-1"], "must be positive"),
+        (["--eps-prime-min", "0.5", "--eps-prime-max", "0.1"], "must not exceed"),
+        (["--eps-prime-points", "0"], "--eps-prime-points"),
+    ])
+    def test_bad_eps_prime_grid(self, tmp_path, capsys, extra, message):
+        args = ["certify", "--family", "isotropic", "--qs", "0.1", "--out", str(tmp_path)]
+        assert main(args + CHEAP + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "certificates.csv").exists()
+
     def test_unknown_structure(self, tmp_path):
         args = ["train", "--family", "werner", "--q", "0.6", "--structure", "pairs",
                 "--out", str(tmp_path)]
@@ -126,6 +165,19 @@ class TestTrainCommand:
         assert rc == 0
         comments, _, _ = read_table(f"{out}/train_result.csv")
         assert any(c.startswith("target = file:") for c in comments)
+
+    def test_config_header_lists_every_setting(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["train", "--family", "isotropic", "--q", "0.9", "--out", out] + CHEAP) == 0
+        comments, _, _ = read_table(f"{out}/train_result.csv")
+        config = comments[comments.index("structure = full") + 1:]
+        assert config == [
+            "loss = trace", "k_terms = None", "width = 100", "seed = 0", "restarts = 1",
+            "max_epochs = 1", "batches_per_epoch = 50", "stop_distance = 0.002",
+            "convergence_delta = 0.0002", "decay = 0.95", "stabilizer = 1e-06",
+        ]
+        names = [f.name for f in fields(TrainConfig)] + ["decay", "stabilizer"]
+        assert [line.split(" = ")[0] for line in config] == names
 
     def test_bell_ansatz_needs_no_q(self, tmp_path):
         out = str(tmp_path / "run")

@@ -43,6 +43,12 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="expected a 4x4"):
             read_matrix(p)
 
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("\n")
+        with pytest.raises(ValueError, match="empty matrix file"):
+            read_matrix(p)
+
 
 class TestTables:
     def test_round_trip_with_comments(self, tmp_path):

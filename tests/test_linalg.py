@@ -155,6 +155,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(np.full((2, 2), np.nan), (2,))
 
+    def test_equality_is_exact_and_a_bool(self):
+        a = DensityMatrix(np.eye(4) / 4, (2, 2))
+        assert (a == DensityMatrix(np.eye(4) / 4, (2, 2))) is True
+        assert (a == DensityMatrix(np.eye(4) / 4, (4,))) is False
+        nudged = np.eye(4) / 4
+        nudged[0, 1] = nudged[1, 0] = 1e-15
+        assert (a == DensityMatrix(nudged, (2, 2))) is False
+        assert (a != DensityMatrix(np.eye(2) / 2, (2,))) is True
+        assert (a == "rho") is False and a.__eq__(a.matrix) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_as_matrix_passthrough(self):
         dm = DensityMatrix(np.eye(2) / 2, (2,))
         assert as_matrix(dm) is dm.matrix

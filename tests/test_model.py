@@ -1,26 +1,73 @@
 """Tests for separability structures and the decomposition network."""
+from typing import NamedTuple, Sequence
+
 import numpy as np
 import pytest
 
 from sepnet import (
-    DecompositionModel,
     DensityMatrix,
     SeparabilityStructure,
     assemble,
     biseparable,
     default_k,
     fixed_partition,
-    forward,
     full_separability,
     init_model,
     load_checkpoint,
     output_width,
-    reorder_to_canonical,
     save_checkpoint,
     size_constrained_biseparable,
     tensor,
     triseparable,
 )
+
+
+# --- an independent reference for the model's assembly ----------------------
+
+def reorder_to_canonical(op: np.ndarray, dims: Sequence[int], partition: Sequence[Sequence[int]]) -> np.ndarray:
+    """Bring an operator assembled blockwise back to canonical party order.
+
+    ``op`` acts on the tensor product of the partition's blocks in their
+    listed order; the result acts on parties 0..n-1 in canonical order.
+    """
+    dims = tuple(int(d) for d in dims)
+    total = int(np.prod(dims))
+    sigma = tuple(i for b in partition for i in b)
+    if sorted(sigma) != list(range(len(dims))):
+        raise ValueError(f"partition {partition} is not a permutation of the parties")
+    # canonical flat index -> block-order flat index
+    rmap = np.arange(total).reshape([dims[i] for i in sigma]).transpose(np.argsort(sigma)).ravel()
+    op = np.asarray(op)
+    if op.shape == (total,):
+        return op[rmap]
+    if op.shape == (total, total):
+        return op[np.ix_(rmap, rmap)]
+    raise ValueError(f"operator shape {op.shape} does not match dims {dims}")
+
+
+class RawTermOutput(NamedTuple):
+    logit: float
+    blocks: list[np.ndarray]
+
+
+def forward(model, k: int) -> list[RawTermOutput]:
+    """Raw sigmoid outputs for term index k (1-based), one entry per partition.
+
+    Per partition, in order, the output holds one logit row and then 2 m
+    rows per block of dimension m.
+    """
+    z1 = model.w1[:, k - 1] + model.b1
+    y = 1.0 / (1.0 + np.exp(-(model.w2 @ np.maximum(z1, 0.0) + model.b2)))
+    out, row = [], 0
+    for part in model.structure.partitions:
+        logit, row = float(y[row]), row + 1
+        blocks = []
+        for block in part:
+            size = 2 * int(np.prod([model.structure.dims[i] for i in block]))
+            blocks.append(y[row:row + size])
+            row += size
+        out.append(RawTermOutput(logit, blocks))
+    return out
 
 
 class TestStructures:
@@ -170,27 +217,27 @@ class TestAssembly:
     def test_grouped_products_equal_per_partition_loop_exactly(self):
         # partitions with equal block dims are assembled together; each
         # product vector must be bit-for-bit what a per-partition pass gives
-        from sepnet.model import _evaluate, _layouts, _product, _sigmoid
+        from sepnet.model import _evaluate, _product, _sigmoid
 
         s = biseparable((2, 2, 2, 2))
         model = init_model(s, k_terms=5, width=12, seed=4)
         _, cache = _evaluate(model)
+        # one matrix product for all terms, as in _evaluate: a product per
+        # column is not bit-identical to it
         y = _sigmoid(model.w2 @ np.maximum(model.w1 + model.b1[:, None], 0.0) + model.b2[:, None])
         kk = model.k_terms
-        for p, lay in enumerate(_layouts(s)):
+        row = 0
+        for p, part in enumerate(s.partitions):
+            row += 1            # the partition's logit
             hats = []
-            for rows, bd in zip(lay.block_rows, lay.block_dims):
-                v = 2.0 * y[rows] - 1.0
+            for block in part:
+                bd = int(np.prod([s.dims[i] for i in block]))
+                v = 2.0 * y[row:row + 2 * bd] - 1.0
+                row += 2 * bd
                 hats.append((v[:bd] + 1j * v[bd:]) / np.sqrt((v * v).sum(axis=0)))
-            expected = np.empty((s.total_dim, kk), dtype=complex)
-            expected[lay.cmap] = _product(hats)
+            expected = np.stack([reorder_to_canonical(col, s.dims, part) for col in _product(hats).T],
+                                axis=1)
             assert np.array_equal(cache.phis[:, p * kk:(p + 1) * kk], expected), p
-
-    def test_forward_k_range(self):
-        model = init_model(full_separability((2, 2)), k_terms=4)
-        for k in (0, 5):
-            with pytest.raises(ValueError, match="k must be"):
-                forward(model, k)
 
     def test_degenerate_amplitudes_rejected(self):
         # zero second-layer weights pin every sigmoid at 1/2, which centers

@@ -1,4 +1,6 @@
 """Tests for the distance losses, the training loop, and the GD baseline."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,13 @@ class TestTrain:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             train(isotropic(3, 0.5), full_separability((2, 2)))
+
+    @pytest.mark.parametrize("name", ["restarts", "max_epochs", "batches_per_epoch"])
+    def test_config_that_cannot_train_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            TrainConfig(**{name: 0})
+        with pytest.raises(ValueError, match=name):
+            replace(TrainConfig(), **{name: -1})
 
     def test_diverged_error_carries_location(self):
         err = TrainingDivergedError(4, 17)
