@@ -11,7 +11,9 @@ the batch count, status, epochs, history, every parameter array, the
 reported distance and the state; for ``scan_family`` every point; for
 ``naive_gd`` the distance curve and the state; for ``closest_ppt_hs`` the
 state, distance and iteration count; for ``css_ansatz_two_qubit`` the
-candidate, its validity and its distance.  One line is printed per case;
+candidate, its validity and its distance; for ``certify_state`` and
+``certify_grid`` the verdict, eps', purity, minimum eigenvalue, training
+distance, training status and reason.  One line is printed per case;
 the exit status is 1 if any case differs, 0 otherwise.  The two trees run side by side; on a 2-core x86-64
 box the whole check takes under a minute.
 """
@@ -59,6 +61,26 @@ def _cases():
                     ("distance", None if r.distance is None else float(r.distance).hex())]
         return run
 
+    def hexed(x):
+        return None if x is None else float(x).hex()
+
+    def verdict(r):
+        return (r.certified, hexed(r.eps_prime), hexed(r.purity), hexed(r.rho_x_min_eig),
+                hexed(r.train_distance), r.train_status, r.reason)
+
+    def certified(rho, dims, notion, config):
+        def run():
+            r = sn.certify_state(rho, dims, notion, train_config=config)
+            return list(zip(("certified", "eps_prime", "purity", "rho_x_min_eig",
+                             "train_distance", "train_status", "reason"), verdict(r)))
+        return run
+
+    def certified_grid(family, qs, notion, config):
+        def run():
+            return [(f"q {r.q!r}", verdict(r) + (r.derived_from,))
+                    for r in sn.certify_grid(family, qs, notion, train_config=config)]
+        return run
+
     def gd(target, dims, config):
         def run():
             r = sn.naive_gd(target, dims, config)
@@ -85,6 +107,12 @@ def _cases():
                                                 sn.TrainConfig(restarts=2, **SHORT))),
         ("isotropic d=2 scan", scanned(sn.FamilySpec("isotropic", d=2), [0.2, 0.4, 0.6],
                                        sn.full_separability((2, 2)), sn.TrainConfig(max_epochs=1))),
+        ("certify I/4", certified(np.eye(4) / 4, (2, 2), "full", sn.TrainConfig(**SHORT))),
+        ("certify NPT random two-qubit seed 0",
+         certified(sn.random_two_qubit(np.random.default_rng(0)), (2, 2), "full",
+                   sn.TrainConfig(**SHORT))),
+        ("certify_grid isotropic d=2", certified_grid(sn.FamilySpec("isotropic", d=2), [0.0, 0.1],
+                                                      "full", sn.TrainConfig(**SHORT))),
     ]
     for seed in range(10):
         rho = sn.random_two_qubit(np.random.default_rng(seed))

@@ -4,12 +4,9 @@ from .linalg import (
     DensityMatrix,
     hermitianize,
     hs_distance,
-    is_psd,
     min_eigenvalue,
     partial_transpose,
     purity,
-    random_unitary,
-    tensor,
     trace_distance,
 )
 from .model import (
@@ -17,7 +14,6 @@ from .model import (
     SeparabilityStructure,
     assemble,
     biseparable,
-    default_k,
     fixed_partition,
     full_separability,
     init_model,
@@ -62,8 +58,6 @@ from .states import (
     ghz,
     horodecki_3x3,
     isotropic,
-    isotropic_boundary,
-    known_threshold,
     max_entangled,
     noisy_mix,
     random_density_matrix,
@@ -71,7 +65,6 @@ from .states import (
     reference_distance,
     w_state,
     werner,
-    werner_boundary,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -230,6 +230,8 @@ def certify_state(
     separability of rho_css (by construction) and of ball members, so a poor
     fit can at worst fail to certify, never certify wrongly.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     dims = tuple(int(d) for d in dims)
     rho = as_matrix(rho)
     total = rho.shape[0]

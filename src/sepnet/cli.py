@@ -120,17 +120,7 @@ def _target_from_args(args) -> tuple[np.ndarray, tuple[int, ...], list[str]]:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        loss=args.loss,
-        k_terms=args.k,
-        width=args.width,
-        seed=args.seed,
-        restarts=args.restarts,
-        max_epochs=args.max_epochs,
-        batches_per_epoch=args.batches,
-        stop_distance=args.stop_distance,
-        convergence_delta=args.convergence_delta,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _config_comments(config: TrainConfig) -> list[str]:
@@ -405,13 +395,14 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--structure", default="full",
                    help="full | bisep | bisep-m<M> | trisep | explicit like '0|12'")
     p.add_argument("--loss", choices=("trace", "hs"), default=TrainConfig.loss)
-    p.add_argument("--k", type=int, default=TrainConfig.k_terms,
+    p.add_argument("--k", dest="k_terms", metavar="K", type=int, default=TrainConfig.k_terms,
                    help="decomposition terms per partition")
     p.add_argument("--width", type=int, default=TrainConfig.width)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--restarts", type=int, default=TrainConfig.restarts)
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--batches", type=int, default=TrainConfig.batches_per_epoch)
+    p.add_argument("--batches", dest="batches_per_epoch", metavar="BATCHES", type=int,
+                   default=TrainConfig.batches_per_epoch)
     p.add_argument("--stop-distance", type=float, default=TrainConfig.stop_distance)
     p.add_argument("--convergence-delta", type=float, default=TrainConfig.convergence_delta)
 

@@ -21,24 +21,9 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more operators, left to right."""
-    if not ops:
-        raise ValueError("tensor() needs at least one operator")
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite up to -tol."""
-    return min_eigenvalue(m) >= -tol
 
 
 def partial_transpose(
@@ -90,14 +75,6 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho, rho).real)
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    # Fix the phase ambiguity so the distribution is Haar.
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix together with its tensor factorization.
@@ -135,13 +112,6 @@ class DensityMatrix:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
         return self.dims == other.dims and bool(np.array_equal(self.matrix, other.matrix))
-
-    @property
-    def side(self) -> int:
-        return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return purity(self.matrix)
 
 
 def as_matrix(state) -> np.ndarray:

@@ -85,10 +85,6 @@ class SeparabilityStructure:
         object.__setattr__(self, "partitions", tuple(parts))
 
     @property
-    def n_parties(self) -> int:
-        return len(self.dims)
-
-    @property
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
@@ -238,14 +234,6 @@ class DecompositionModel:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def copy(self) -> "DecompositionModel":
-        return DecompositionModel(self.structure, self.k_terms, self.width, self.seed,
-                                  self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-
-def default_k(structure: SeparabilityStructure) -> int:
-    return structure.total_dim
-
 
 def init_model(structure: SeparabilityStructure, k_terms: int | None = None,
                width: int = 100, seed: int = 0) -> DecompositionModel:
@@ -255,7 +243,7 @@ def init_model(structure: SeparabilityStructure, k_terms: int | None = None,
     its square (enough terms for any separable state by Caratheodory).
     """
     if k_terms is None:
-        k_terms = default_k(structure)
+        k_terms = structure.total_dim
     k_terms = int(k_terms)
     cap = structure.total_dim ** 2
     if not 1 <= k_terms <= cap:
@@ -386,15 +374,13 @@ def assemble(model: DecompositionModel) -> DensityMatrix:
     return DensityMatrix(rho, model.structure.dims)
 
 
-def backward(model: DecompositionModel, grad_rho: np.ndarray,
-             cache: _Cache | None = None) -> dict[str, np.ndarray]:
+def backward(model: DecompositionModel, grad_rho: np.ndarray, cache: _Cache) -> dict[str, np.ndarray]:
     """Chain a Hermitian gradient d(loss)/d(rho) back to parameter gradients.
 
     ``grad_rho`` is understood in the real inner product d(loss) =
-    Tr[grad_rho . d(rho)].  Returns gradients keyed like ``parameters()``.
+    Tr[grad_rho . d(rho)]; ``cache`` is what ``_evaluate`` kept for the same
+    parameters.  Returns gradients keyed like ``parameters()``.
     """
-    if cache is None:
-        _, cache = _evaluate(model)
     _, logit_rows, groups = _layout(model.structure)
     g = np.asarray(grad_rho)
 

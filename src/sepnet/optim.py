@@ -134,7 +134,8 @@ def derived_seed(seed: int, index: int) -> int:
 
 
 def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: TrainConfig,
-                seed: int) -> tuple[float, np.ndarray, str, int, int, list[tuple[int, float]]]:
+                seed: int) -> tuple[float, DecompositionModel, str, int, int, list[tuple[int, float]]]:
+    """One restart; the returned model holds the best parameters seen."""
     model = init_model(structure, config.k_terms, config.width, seed)
     x = model.flat
     names = tuple(model.parameters())
@@ -208,7 +209,8 @@ def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: Tr
             status = "separable_stop" if stop else "converged"
             break
         prev_best = best
-    return best, best_x, status, epochs, batches, history
+    np.copyto(x, best_x)
+    return best, model, status, epochs, batches, history
 
 
 def train(target, structure: SeparabilityStructure, config: TrainConfig | None = None) -> TrainResult:
@@ -230,16 +232,14 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
     tot_batches = 0
     for r in range(config.restarts):
         seed = derived_seed(config.seed, r) if config.restarts > 1 else config.seed
-        value, params, status, epochs, batches, history = _train_once(rho_t, structure, config, seed)
+        value, model, status, epochs, batches, history = _train_once(rho_t, structure, config, seed)
         tot_epochs += epochs
         tot_batches += batches
         if best_result is None or value < best_result[0]:
-            best_result = (value, params, status, seed, history)
+            best_result = (value, model, status, seed, history)
         if value < config.stop_distance:
             break
-    value, params, status, seed, history = best_result
-    model = init_model(structure, config.k_terms, config.width, seed)
-    np.copyto(model.flat, params)
+    value, model, status, seed, history = best_result
     state = DensityMatrix(_evaluate(model)[0], structure.dims)
     final = distance(state.matrix, rho_t, config.loss)
     return TrainResult(
@@ -263,6 +263,10 @@ class GdConfig:
     rounds: int = 250
     real_only: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be at least 0, got {self.rounds}")
 
 
 @dataclass

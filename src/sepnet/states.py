@@ -156,39 +156,6 @@ def bell_ansatz_state(a: float, b: complex, c: complex) -> DensityMatrix:
 
 # --- reference values ------------------------------------------------------
 
-def isotropic_boundary(d: int) -> float:
-    """Mixing parameter where the isotropic family stops being separable.
-
-    This is also where its smallest partial-transpose eigenvalue
-    (1-q)/d^2 - q/d crosses zero.
-    """
-    return 1.0 / (d + 1)
-
-
-def werner_boundary(d: int) -> float:
-    """Mixing parameter where the Werner family stops being separable."""
-    return 0.5
-
-
-def known_threshold(family: str, d: int | None = None) -> float:
-    """Nominal separability threshold quoted for a family.
-
-    Note that for ``isotropic`` the quoted value 1/d refers to the fidelity
-    with the maximally entangled state, not to the mixing parameter q used by
-    :func:`isotropic`; in terms of q the family turns entangled at
-    :func:`isotropic_boundary`, i.e. 1/(d+1).
-    """
-    if family == "isotropic":
-        if d is None:
-            raise ValueError("isotropic threshold needs d")
-        return 1.0 / d
-    if family == "werner":
-        return 0.5
-    if family == "horodecki":
-        return 0.5
-    raise ValueError(f"no tabulated threshold for family {family!r}")
-
-
 def reference_distance(family: str, metric: str, d: int, q: float) -> float:
     """Closed-form distance to the separable set for isotropic/Werner states.
 

@@ -147,6 +147,15 @@ class TestCertify:
         assert "reduce epsilon" in res.reason
         assert res.train_distance is None
 
+    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, float("nan")])
+    def test_non_positive_epsilon_rejected_before_training(self, monkeypatch, epsilon):
+        def no_training(*args, **kwargs):
+            raise AssertionError("certify_state trained")
+
+        monkeypatch.setattr("sepnet.certify.train", no_training)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            certify_state(np.eye(4) / 4, (2, 2), epsilon=epsilon)
+
     def test_family_wrapper_carries_q(self):
         cfg = TrainConfig(seed=0, max_epochs=2, batches_per_epoch=500)
         res = certify_lower_bound(FamilySpec("isotropic", d=2), 0.0, train_config=cfg)

@@ -126,6 +126,19 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "certificates.csv").exists()
 
+    def test_negative_gd_rounds(self, tmp_path, capsys):
+        assert main(["gd-bench", "--runs", "1", "--rounds", "-1", "--out", str(tmp_path)]) == 2
+        assert "rounds" in capsys.readouterr().err
+        assert not (tmp_path / "gd_bench.csv").exists()
+
+    @pytest.mark.parametrize("epsilon", ["-0.5", "0"])
+    def test_non_positive_epsilon(self, tmp_path, capsys, epsilon):
+        args = ["certify", "--family", "isotropic", "--d", "2", "--qs", "0.1",
+                "--epsilon", epsilon, "--out", str(tmp_path)]
+        assert main(args + CHEAP) == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "certificates.csv").exists()
+
     def test_unknown_structure(self, tmp_path):
         args = ["train", "--family", "werner", "--q", "0.6", "--structure", "pairs",
                 "--out", str(tmp_path)]

@@ -5,16 +5,13 @@ from sepnet import (
     DensityMatrix,
     hermitianize,
     hs_distance,
-    is_psd,
     max_entangled,
     min_eigenvalue,
     partial_transpose,
     purity,
-    random_unitary,
-    tensor,
     trace_distance,
 )
-from sepnet.linalg import as_matrix
+from sepnet.linalg import PSD_TOL, as_matrix
 
 
 def random_hermitian(d, rng):
@@ -28,20 +25,13 @@ def test_hermitianize(rng):
     assert np.allclose(h, h.conj().T)
 
 
-def test_tensor_matches_kron(rng):
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3))
-    c = rng.standard_normal((2, 2))
-    assert np.allclose(tensor(a, b, c), np.kron(np.kron(a, b), c))
-    with pytest.raises(ValueError):
-        tensor()
-
-
 def test_min_eigenvalue_and_is_psd():
     m = np.diag([0.5, 0.5, -0.1])
     assert min_eigenvalue(m) == pytest.approx(-0.1)
-    assert not is_psd(m)
-    assert is_psd(np.diag([0.0, 1.0]))
+    # a density matrix is PSD when its min eigenvalue is at least -PSD_TOL
+    DensityMatrix(np.diag([1.0 + PSD_TOL / 2, -PSD_TOL / 2]), (2,))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        DensityMatrix(np.diag([1.0 + 2 * PSD_TOL, -2 * PSD_TOL]), (2,))
 
 
 class TestPartialTranspose:
@@ -122,16 +112,11 @@ def test_purity_range(rng):
     assert purity(np.eye(4) / 4) == pytest.approx(0.25)
 
 
-def test_random_unitary_is_unitary(rng):
-    u = random_unitary(4, rng)
-    assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-
-
 class TestDensityMatrix:
     def test_valid(self):
         dm = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert dm.side == 4
-        assert dm.purity() == pytest.approx(0.25)
+        assert dm.dims == (2, 2)
+        assert np.array_equal(dm.matrix, np.eye(4) / 4)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

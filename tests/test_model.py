@@ -1,4 +1,5 @@
 """Tests for separability structures and the decomposition network."""
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -9,7 +10,6 @@ from sepnet import (
     SeparabilityStructure,
     assemble,
     biseparable,
-    default_k,
     fixed_partition,
     full_separability,
     init_model,
@@ -17,7 +17,6 @@ from sepnet import (
     output_width,
     save_checkpoint,
     size_constrained_biseparable,
-    tensor,
     triseparable,
 )
 
@@ -74,7 +73,6 @@ class TestStructures:
     def test_full_separability(self):
         s = full_separability((2, 3, 2))
         assert s.partitions == (((0,), (1,), (2,)),)
-        assert s.n_parties == 3
         assert s.total_dim == 12
 
     def test_fixed_partition_sorts_blocks(self):
@@ -123,15 +121,15 @@ class TestReorder:
     def test_vector_two_parties(self, rng):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        block_order = tensor(b, a)  # partition lists party 1 first
+        block_order = np.kron(b, a)  # partition lists party 1 first
         canonical = reorder_to_canonical(block_order, (2, 3), ((1,), (0,)))
-        assert np.allclose(canonical, tensor(a, b))
+        assert np.allclose(canonical, np.kron(a, b))
 
     def test_matrix_three_parties(self, rng):
         mats = [rng.standard_normal((d, d)) for d in (2, 3, 2)]
-        block_order = tensor(mats[1], mats[2], mats[0])
+        block_order = reduce(np.kron, (mats[1], mats[2], mats[0]))
         canonical = reorder_to_canonical(block_order, (2, 3, 2), ((1, 2), (0,)))
-        assert np.allclose(canonical, tensor(*mats))
+        assert np.allclose(canonical, reduce(np.kron, mats))
 
     def test_identity_partition_is_noop(self, rng):
         op = rng.standard_normal((4, 4))
@@ -153,7 +151,6 @@ class TestInit:
 
     def test_default_k_and_cap(self):
         s = full_separability((2, 2))
-        assert default_k(s) == 4
         assert init_model(s).k_terms == 4
         assert init_model(s, k_terms=16).k_terms == 16
         with pytest.raises(ValueError, match="k_terms"):
@@ -208,7 +205,7 @@ class TestAssembly:
                         v = 2.0 * raw - 1.0
                         psi = (v[:m] + 1j * v[m:]) / np.linalg.norm(v)
                         blocks.append(psi)
-                    phi = reorder_to_canonical(tensor(*blocks), s.dims, part)
+                    phi = reorder_to_canonical(reduce(np.kron, blocks), s.dims, part)
                     projectors.append(np.outer(phi, phi.conj()))
             weights = np.exp(logits) / np.sum(np.exp(logits))
             expected = sum(w * p for w, p in zip(weights, projectors))
@@ -287,12 +284,3 @@ class TestCheckpoint:
         assert all(np.shares_memory(v, model.flat) for v in params.values())
         model.flat[:] = 0.25
         assert all(np.all(v == 0.25) for v in params.values())
-        clone = model.copy()
-        assert not any(np.shares_memory(v, model.flat) for v in clone.parameters().values())
-        assert all(np.shares_memory(v, clone.flat) for v in clone.parameters().values())
-
-    def test_copy_is_independent(self):
-        model = init_model(full_separability((2, 2)), seed=1)
-        clone = model.copy()
-        clone.w1[0, 0] += 1.0
-        assert model.w1[0, 0] != clone.w1[0, 0]

@@ -8,6 +8,7 @@ from sepnet import (
     GdConfig,
     TrainConfig,
     TrainingDivergedError,
+    assemble,
     biseparable,
     derived_seed,
     distance,
@@ -206,6 +207,12 @@ class TestTrain:
         assert res.seed in (derived_seed(9, 0), derived_seed(9, 1))
         assert res.epochs == 2 and res.batches == 60  # totals across restarts
 
+    def test_restarts_return_the_winning_model(self):
+        cfg = TrainConfig(seed=9, restarts=2, max_epochs=1, batches_per_epoch=30)
+        res = train(isotropic(2, 0.9), full_separability((2, 2)), cfg)
+        assert res.model.seed == res.seed
+        assert np.array_equal(assemble(res.model).matrix, res.state.matrix)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             train(isotropic(3, 0.5), full_separability((2, 2)))
@@ -247,3 +254,10 @@ class TestNaiveGd:
         a = naive_gd(werner(2, 0.7), (2, 2), GdConfig(seed=3, rounds=5))
         b = naive_gd(werner(2, 0.7), (2, 2), GdConfig(seed=3, rounds=5))
         assert np.array_equal(a.distances, b.distances)
+
+    def test_rounds_below_zero_rejected(self):
+        with pytest.raises(ValueError, match="rounds must be at least 0"):
+            GdConfig(rounds=-1)
+        res = naive_gd(isotropic(2, 1.0), (2, 2), GdConfig(rounds=0))
+        assert res.distances.shape == (1,)
+        assert distance(res.state, isotropic(2, 1.0)) == pytest.approx(res.distances[0], abs=1e-12)

@@ -11,8 +11,6 @@ from sepnet import (
     horodecki_3x3,
     is_npt,
     isotropic,
-    isotropic_boundary,
-    known_threshold,
     max_entangled,
     min_eigenvalue,
     noisy_mix,
@@ -23,7 +21,6 @@ from sepnet import (
     trace_distance,
     w_state,
     werner,
-    werner_boundary,
 )
 
 
@@ -54,8 +51,7 @@ class TestIsotropic:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_boundary_is_ppt_crossing(self, d):
-        qb = isotropic_boundary(d)
-        assert qb == pytest.approx(1.0 / (d + 1))
+        qb = 1.0 / (d + 1)
         at = isotropic(d, qb)
         above = isotropic(d, qb + 1e-6)
         assert abs(min_eigenvalue(partial_transpose(at.matrix, (d, d), (1,)))) < 1e-12
@@ -87,7 +83,6 @@ class TestWerner:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_boundary_is_ppt_crossing(self, d):
-        assert werner_boundary(d) == 0.5
         below = werner(d, 0.45)
         above = werner(d, 0.55)
         assert not is_npt(below.matrix, (d, d))
@@ -235,20 +230,14 @@ class TestReferenceValues:
         with pytest.raises(ValueError, match="metric"):
             reference_distance("werner", "fidelity", 2, 0.9)
 
-    def test_known_thresholds(self):
-        assert known_threshold("isotropic", 3) == pytest.approx(1 / 3)
-        assert known_threshold("werner") == 0.5
-        assert known_threshold("horodecki") == 0.5
-        with pytest.raises(ValueError):
-            known_threshold("isotropic")
-        with pytest.raises(ValueError):
-            known_threshold("cluster")
-
     def test_quoted_isotropic_threshold_differs_from_mixing_boundary(self):
         # the tabulated 1/d is a fidelity threshold; in the mixing parameter
-        # used here the family turns entangled at 1/(d+1)
-        assert known_threshold("isotropic", 2) == pytest.approx(0.5)
-        assert isotropic_boundary(2) == pytest.approx(1 / 3)
+        # used here the family turns entangled at 1/(d+1), where the
+        # fidelity with the maximally entangled state is 1/d
+        for d in (2, 3):
+            psi = max_entangled(d)
+            fidelity = np.vdot(psi, isotropic(d, 1.0 / (d + 1)).matrix @ psi).real
+            assert fidelity == pytest.approx(1.0 / d)
 
 
 class TestFamilySpec:
