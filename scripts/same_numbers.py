@@ -15,7 +15,7 @@ candidate, its validity and its distance; for ``certify_state`` and
 ``certify_grid`` the verdict, eps', purity, minimum eigenvalue, training
 distance, training status and reason.  One line is printed per case;
 the exit status is 1 if any case differs, 0 otherwise.  The two trees run side by side; on a 2-core x86-64
-box the whole check takes under a minute.
+box the whole check takes about a minute.
 """
 import hashlib
 import json
@@ -24,6 +24,7 @@ import subprocess
 import sys
 
 SHORT = dict(max_epochs=2, batches_per_epoch=300)     # the multipartite cases: 2 x 300 batches
+FIT = dict(max_epochs=3, batches_per_epoch=1000)      # certificates that fit within epsilon
 
 
 def _cases():
@@ -68,9 +69,9 @@ def _cases():
         return (r.certified, hexed(r.eps_prime), hexed(r.purity), hexed(r.rho_x_min_eig),
                 hexed(r.train_distance), r.train_status, r.reason)
 
-    def certified(rho, dims, notion, config):
+    def certified(rho, dims, notion, config, **kwargs):
         def run():
-            r = sn.certify_state(rho, dims, notion, train_config=config)
+            r = sn.certify_state(rho, dims, notion, train_config=config, **kwargs)
             return list(zip(("certified", "eps_prime", "purity", "rho_x_min_eig",
                              "train_distance", "train_status", "reason"), verdict(r)))
         return run
@@ -111,6 +112,15 @@ def _cases():
         ("certify NPT random two-qubit seed 0",
          certified(sn.random_two_qubit(np.random.default_rng(0)), (2, 2), "full",
                    sn.TrainConfig(**SHORT))),
+        ("certify noisy ghz n=3 full (criterion 7)",
+         certified(sn.noisy_mix(sn.ghz(3), 0.18, (2, 2, 2)), (2, 2, 2), "full",
+                   sn.TrainConfig(k_terms=16), epsilon=0.05,
+                   eps_prime_grid=np.logspace(-3, np.log10(20), 25))),
+        ("certify noisy w n=3 q=0.1 bisep", certified(sn.noisy_mix(sn.w_state(3), 0.1, (2, 2, 2)),
+                                                      (2, 2, 2), "bisep", sn.TrainConfig(**FIT))),
+        ("certify noisy product q=0.5 outside the ball",
+         certified(sn.noisy_mix(np.array([1.0, 0, 0, 0]), 0.5, (2, 2)), (2, 2), "full",
+                   sn.TrainConfig(**FIT))),
         ("certify_grid isotropic d=2", certified_grid(sn.FamilySpec("isotropic", d=2), [0.0, 0.1],
                                                       "full", sn.TrainConfig(**SHORT))),
     ]

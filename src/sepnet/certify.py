@@ -14,11 +14,13 @@ Three independent routes complement the trained upper bounds:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     DensityMatrix,
     as_matrix,
     hermitianize,
@@ -169,17 +171,19 @@ def closest_ppt_hs(rho, dims=(2, 2)) -> PptProjection:
 def purity_ball_bound(notion: str, dims) -> float:
     """Purity threshold below which a state is guaranteed separable.
 
-    For ``bisep`` this is 1/(D-1) with D the total dimension.  For ``full``
-    (all parties qubits) it is 1/(2^N - alpha^2) with
-    alpha^2 = 2^N / ((17/2) 3^(N-3) + 1).
+    For ``bisep``, and for ``full`` with two parties (where it is the single
+    bipartition), this is 1/(D-1) with D the total dimension.  For ``full`` on
+    N >= 3 qubits it is 1/(2^N - alpha^2) with
+    alpha^2 = 2^N / ((17/2) 3^(N-3) + 1) < 1.  Every bound is at most 1/(D-1),
+    so a unit-trace Hermitian matrix inside the ball is positive semidefinite.
     """
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if notion == "bisep":
+    if notion == "full" and any(d != 2 for d in dims):
+        raise ValueError("the full-separability purity ball is defined for qubit systems")
+    if notion == "bisep" or (notion == "full" and len(dims) == 2):
         return 1.0 / (total - 1)
     if notion == "full":
-        if any(d != 2 for d in dims):
-            raise ValueError("the full-separability purity ball is defined for qubit systems")
         n = len(dims)
         alpha2 = 2**n / (8.5 * 3.0 ** (n - 3) + 1.0)
         return 1.0 / (2**n - alpha2)
@@ -194,7 +198,7 @@ def notion_structure(notion: str, dims) -> SeparabilityStructure:
     raise ValueError(f"unknown notion {notion!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CertificateResult:
     """Outcome of a separability-ball certification attempt at one q."""
 
@@ -202,13 +206,13 @@ class CertificateResult:
     q: float
     notion: str
     epsilon: float
-    eps_prime: float | None
-    purity: float | None
+    eps_prime: float | None = None
+    purity: float | None = None
     purity_bound: float
-    rho_x_min_eig: float | None
-    train_distance: float | None
-    train_status: str | None
-    derived_from: float | None
+    rho_x_min_eig: float | None = None
+    train_distance: float | None = None
+    train_status: str | None = None
+    derived_from: float | None = None
     reason: str
 
 
@@ -226,57 +230,47 @@ def certify_state(
     A deliberately harder target rho_t = (1+eps) rho - eps I/D is trained;
     the target is then rewritten as the convex combination
     rho = (rho_x + eps' rho_css) / (1 + eps') and certified when some grid
-    eps' makes rho_x a state inside the purity ball.  Soundness only uses the
-    separability of rho_css (by construction) and of ball members, so a poor
-    fit can at worst fail to certify, never certify wrongly.
+    eps' > 0 puts the unit-trace Hermitian rho_x inside the purity ball; no
+    bound exceeds 1/(D-1), so that alone makes rho_x a state.  Soundness only
+    uses the separability of rho_css (by construction) and of ball members,
+    so a poor fit can at worst fail to certify, never certify wrongly.  A
+    ``rho`` that is not a state for ``dims``, or an empty grid or one with an
+    eps' that is not finite and positive, raises ``ValueError`` untrained.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     dims = tuple(int(d) for d in dims)
     rho = as_matrix(rho)
+    DensityMatrix(rho, dims)
+    grid = np.asarray(np.logspace(-3, 0, 20) if eps_prime_grid is None else eps_prime_grid,
+                      dtype=float).ravel()
+    if not (grid.size and np.isfinite(grid).all() and (grid > 0).all()):
+        raise ValueError(f"eps' grid must be non-empty, finite and positive, got {eps_prime_grid!r}")
     total = rho.shape[0]
     bound = purity_ball_bound(notion, dims)
-    if eps_prime_grid is None:
-        eps_prime_grid = np.logspace(-3, 0, 20)
+    result = partial(CertificateResult, certified=False, q=q, notion=notion, epsilon=epsilon,
+                     purity_bound=bound)
     rho_t = (1.0 + epsilon) * rho - epsilon * np.eye(total) / total
     lo = min_eigenvalue(hermitianize(rho_t))
-    if lo < -1e-9:
+    if lo < -PSD_TOL:
         # rho sits too close to the boundary of the state set for this offset
-        return CertificateResult(
-            False, q, notion, epsilon, None, None, bound, None, None, None, None,
-            f"offset target is not a state (min eigenvalue {lo:.3e}); reduce epsilon",
-        )
-    structure = notion_structure(notion, dims)
-    result = train(rho_t, structure, train_config or TrainConfig())
-    if result.distance > epsilon:
-        return CertificateResult(
-            False, q, notion, epsilon, None, None, bound, None,
-            result.distance, result.status, None,
-            f"training residual {result.distance:.3e} exceeds epsilon",
-        )
-    rho_css = result.state.matrix
+        return result(reason=f"offset target is not a state (min eigenvalue {lo:.3e}); reduce epsilon")
+    trained = train(rho_t, notion_structure(notion, dims), train_config or TrainConfig())
+    result = partial(result, train_distance=trained.distance, train_status=trained.status)
+    if trained.distance > epsilon:
+        return result(reason=f"training residual {trained.distance:.3e} exceeds epsilon")
+    rho_css = trained.state.matrix
     best = None
-    for ep in np.asarray(eps_prime_grid, dtype=float):
+    for ep in grid:
         rho_x = (1.0 + ep) * rho - ep * rho_css
-        lo_x = min_eigenvalue(hermitianize(rho_x))
-        if lo_x < -1e-9:
-            continue
         pur = purity(rho_x)
-        if pur > bound:
-            continue
-        if best is None or pur < best[1]:
-            best = (ep, pur, lo_x)
+        if pur <= bound and (best is None or pur < best[1]):
+            best = (ep, pur, rho_x)
     if best is None:
-        return CertificateResult(
-            False, q, notion, epsilon, None, None, bound, None,
-            result.distance, result.status, None,
-            "no grid eps' gave a PSD combination inside the purity ball",
-        )
-    ep, pur, lo_x = best
-    return CertificateResult(
-        True, q, notion, epsilon, float(ep), pur, bound, lo_x,
-        result.distance, result.status, None, "purity ball membership",
-    )
+        return result(reason="no grid eps' gave a PSD combination inside the purity ball")
+    ep, pur, rho_x = best
+    return result(certified=True, eps_prime=float(ep), purity=pur,
+                  rho_x_min_eig=min_eigenvalue(hermitianize(rho_x)), reason="purity ball membership")
 
 
 def certify_lower_bound(
@@ -316,10 +310,9 @@ def certify_grid(
     for i in order:
         if certified_at is not None:
             parent, proof = certified_at
-            results[i] = CertificateResult(
-                True, qs[i], notion, proof.epsilon, proof.eps_prime, None,
-                proof.purity_bound, None, proof.train_distance, proof.train_status,
-                parent, f"convex combination of certified q={parent:g} and the separable q=0 state",
+            results[i] = replace(
+                proof, q=qs[i], purity=None, rho_x_min_eig=None, derived_from=parent,
+                reason=f"convex combination of certified q={parent:g} and the separable q=0 state",
             )
             continue
         res = certify_lower_bound(family, qs[i], notion, epsilon, eps_prime_grid, train_config)

@@ -146,7 +146,7 @@ def _parse_grid(args) -> list[float]:
             raise UsageError(f"bad --grid {args.grid!r}")
         if count < 1:
             raise UsageError("--grid count must be >= 1")
-        qs = list(np.linspace(lo, hi, count))
+        qs = np.linspace(lo, hi, count).tolist()
     else:
         raise UsageError("need --qs or --grid")
     if not qs:
@@ -193,7 +193,9 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     points = scan_family(family, qs, structure, config, workers=args.workers)
     path = os.path.join(out, "scan.csv")
-    comments = (family.describe() + [f"structure = {args.structure}", f"workers = {args.workers}"]
+    comments = (family.describe()
+                + [f"structure = {args.structure}", f"workers = {args.workers}",
+                   f"fit_window = {args.fit_window}", f"flat_tol = {args.flat_tol!r}"]
                 + _config_comments(config))
     write_table(
         path, comments,
@@ -245,15 +247,10 @@ def cmd_certify(args) -> int:
                    f"eps_prime_grid = logspace({args.eps_prime_min!r}, {args.eps_prime_max!r}, "
                    f"{args.eps_prime_points})"]
                 + _config_comments(config))
-    write_table(
-        path, comments,
-        ["q", "certified", "notion", "epsilon", "eps_prime", "purity", "purity_bound",
-         "rho_x_min_eig", "train_distance", "train_status", "derived_from", "reason"],
-        [[f"{r.q!r}", r.certified, r.notion, f"{r.epsilon!r}", fmt(r.eps_prime),
-          fmt(r.purity), f"{r.purity_bound!r}", fmt(r.rho_x_min_eig),
-          fmt(r.train_distance), fmt(r.train_status), fmt(r.derived_from), r.reason]
-         for r in results],
-    )
+    columns = ["q", "certified", "notion", "epsilon", "eps_prime", "purity", "purity_bound",
+               "rho_x_min_eig", "train_distance", "train_status", "derived_from", "reason"]
+    write_table(path, comments, columns,
+                [[fmt(getattr(r, c)) for c in columns] for r in results])
     certified = [r.q for r in results if r.certified]
     if certified:
         headline = max(certified)
@@ -307,7 +304,7 @@ def cmd_gd_bench(args) -> int:
                                   seed=args.seed + run)
                 result = naive_gd(state.matrix, dims, config)
                 rows.extend(
-                    [label, mode, run, rnd, f"{d!r}"]
+                    [label, mode, run, rnd, f"{float(d)!r}"]
                     for rnd, d in enumerate(result.distances)
                 )
     path = os.path.join(out, "gd_bench.csv")

@@ -1,6 +1,8 @@
 """Tests for the certification routes and the threshold estimator."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet import (
     FamilySpec,
@@ -13,8 +15,10 @@ from sepnet import (
     estimate_threshold,
     is_npt,
     isotropic,
+    min_eigenvalue,
     notion_structure,
     ppt_min_eigenvalue,
+    purity,
     purity_ball_bound,
     trace_distance,
     werner,
@@ -101,8 +105,32 @@ class TestPurityBall:
         assert purity_ball_bound("bisep", (3, 3)) == pytest.approx(1 / 8)
 
     def test_full_qubit_values(self):
-        assert purity_ball_bound("full", (2, 2)) == pytest.approx(23 / 68)
+        # with two parties full separability is the single bipartition
+        assert purity_ball_bound("full", (2, 2)) == pytest.approx(1 / 3)
         assert purity_ball_bound("full", (2, 2, 2)) == pytest.approx(19 / 136)
+
+    @pytest.mark.parametrize("notion,dims", [("full", (2,) * n) for n in range(2, 9)] + [
+        ("bisep", dims) for dims in [(2, 2), (3, 3), (2, 3, 2)] + [(2,) * n for n in range(3, 7)]
+    ])
+    def test_no_ball_exceeds_the_positivity_bound(self, notion, dims):
+        # purity <= 1/(D-1) makes a unit-trace Hermitian matrix PSD; the
+        # certificate relies on every ball sitting inside that one
+        assert purity_ball_bound(notion, dims) <= 1 / (np.prod(dims) - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(side=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), shrink=st.floats(0.0, 1.0))
+    def test_purity_inside_the_ball_implies_positivity(self, side, seed, shrink):
+        # a unit-trace Hermitian I/D + tH with Tr rho^2 <= 1/(D-1) has no
+        # negative eigenvalue: the lemma behind the one purity check
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        h = h + h.conj().T
+        h -= np.trace(h) / side * np.eye(side)
+        # Tr (I/D + tH)^2 = 1/D + t^2 Tr H^2 reaches 1/(D-1) at t_max
+        t_max = np.sqrt((1 / (side - 1) - 1 / side) / np.vdot(h, h).real)
+        rho = np.eye(side) / side + shrink * t_max * h
+        assert purity(rho) <= 1 / (side - 1) + 1e-15
+        assert min_eigenvalue(rho) >= -1e-12
 
     def test_full_requires_qubits(self):
         with pytest.raises(ValueError, match="qubit"):
@@ -117,6 +145,14 @@ class TestPurityBall:
     def test_notion_structures(self):
         assert len(notion_structure("full", (2, 2, 2)).partitions) == 1
         assert len(notion_structure("bisep", (2, 2, 2)).partitions) == 3
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("certify_state trained")
+
+    monkeypatch.setattr("sepnet.certify.train", fail)
 
 
 class TestCertify:
@@ -148,13 +184,30 @@ class TestCertify:
         assert res.train_distance is None
 
     @pytest.mark.parametrize("epsilon", [-0.5, 0.0, float("nan")])
-    def test_non_positive_epsilon_rejected_before_training(self, monkeypatch, epsilon):
-        def no_training(*args, **kwargs):
-            raise AssertionError("certify_state trained")
-
-        monkeypatch.setattr("sepnet.certify.train", no_training)
+    def test_non_positive_epsilon_rejected_before_training(self, no_training, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             certify_state(np.eye(4) / 4, (2, 2), epsilon=epsilon)
+
+    def test_state_just_outside_the_two_qubit_ball_is_not_certified(self):
+        # isotropic(2, 0.34) is entangled (PT eigenvalue -0.005) with purity
+        # 0.3367, between 1/3 and the formerly used bound 23/68
+        cfg = TrainConfig(max_epochs=2, batches_per_epoch=1000)
+        res = certify_state(isotropic(2, 0.34).matrix, (2, 2), train_config=cfg)
+        assert is_npt(isotropic(2, 0.34), (2, 2))
+        assert not res.certified
+
+    @pytest.mark.parametrize("rho,kwargs,message", [
+        (np.eye(4) / 4 * 1.004, {"notion": "bisep"}, "trace"),
+        (np.eye(4) / 4 + 1e-3 * np.triu(np.ones((4, 4)), 1), {"notion": "bisep"}, "Hermitian"),
+        (np.eye(9) / 9, {}, "shape"),
+        (isotropic(2, 0.34).matrix, {"eps_prime_grid": [-0.9]}, "eps' grid"),
+        (isotropic(2, 0.34).matrix, {"eps_prime_grid": [0.1, 0.0]}, "eps' grid"),
+        (isotropic(2, 0.34).matrix, {"eps_prime_grid": [float("nan")]}, "eps' grid"),
+        (isotropic(2, 0.34).matrix, {"eps_prime_grid": []}, "eps' grid"),
+    ])
+    def test_bad_input_rejected_before_training(self, no_training, rho, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            certify_state(rho, (2, 2), **kwargs)
 
     def test_family_wrapper_carries_q(self):
         cfg = TrainConfig(seed=0, max_epochs=2, batches_per_epoch=500)

@@ -212,6 +212,7 @@ class TestScanCommand:
         assert header[:3] == ["q", "distance", "status"]
         assert len(rows) == 2
         assert any(c.startswith("threshold") for c in comments)  # fit or failure note
+        assert "fit_window = 4" in comments and "flat_tol = 0.005" in comments
 
         # every row carries its own seed: rebuilding the config from the
         # comment block and the row must reproduce the distance bit-exactly
@@ -238,6 +239,16 @@ class TestCertifyCommand:
         assert by_q["0.1"][header.index("certified")] == "True"
         assert by_q["0.0"][col] == "0.1"
 
+    def test_grid_values_are_plain_numbers(self, tmp_path):
+        out = str(tmp_path / "cert")
+        rc = main(["certify", "--family", "isotropic", "--grid", "0.0:0.1:2",
+                   "--max-epochs", "3", "--batches", "1000", "--out", out])
+        assert rc == 0
+        comments, header, rows = read_table(f"{out}/certificates.csv")
+        assert [float(row[header.index("q")]) for row in rows] == [0.0, 0.1]
+        assert float(rows[0][header.index("derived_from")]) == 0.1
+        assert float(comments[-1].removeprefix("largest certified q = ")) == 0.1
+
 
 class TestBenchCommands:
     def test_gd_bench(self, tmp_path):
@@ -247,6 +258,8 @@ class TestBenchCommands:
         _, header, rows = read_table(f"{out}/gd_bench.csv")
         assert header == ["target", "mode", "run", "round", "distance"]
         assert len(rows) == 2 * 2 * 1 * 4  # targets x modes x runs x (rounds+1)
+        for row in rows:
+            float(row[header.index("distance")])
 
     def test_random_bench(self, tmp_path):
         out = str(tmp_path / "rb")
