@@ -169,7 +169,8 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     out = _out_dir(args)
     result = train(matrix, structure, config)
-    comments = desc + [f"structure = {args.structure}"] + _config_comments(config)
+    comments = (desc + [f"symmetry = {result.symmetry or 'none'}", f"structure = {args.structure}"]
+                + _config_comments(config))
     write_table(
         os.path.join(out, "train_result.csv"),
         comments,
@@ -193,8 +194,11 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     points = scan_family(family, qs, structure, config, workers=args.workers)
     path = os.path.join(out, "scan.csv")
+    # distinct, in grid order: a point such as I/D may be fixed by an earlier twirl in the table
+    symmetries = dict.fromkeys(p.symmetry or "none" for p in points)
     comments = (family.describe()
-                + [f"structure = {args.structure}", f"workers = {args.workers}",
+                + [f"symmetry = {','.join(symmetries)}",
+                   f"structure = {args.structure}", f"workers = {args.workers}",
                    f"fit_window = {args.fit_window}", f"flat_tol = {args.flat_tol!r}"]
                 + _config_comments(config))
     write_table(

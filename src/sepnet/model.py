@@ -25,6 +25,10 @@ each partition is handled on its own.
 The model's four parameter arrays are views into one flat float64 vector,
 ``DecompositionModel.flat``, so an optimizer can update all of them with a
 few in-place vector operations.
+
+A model trained on a symmetric target records the twirl it was trained
+under (see :mod:`sepnet.twirl`) by name in ``symmetry``; :func:`assemble`
+then returns the twirled mixture, which is the state training reported.
 """
 from __future__ import annotations
 
@@ -37,8 +41,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import DensityMatrix
+from .twirl import get_twirl
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2     # version 1 has no symmetry and still loads, untwirled
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -215,14 +220,18 @@ class DecompositionModel:
 
     The constructor copies ``w1``, ``b1``, ``w2`` and ``b2`` into one flat
     vector ``flat``, in that order; the attributes are reshaped views of it.
+    ``symmetry`` names the twirl that :func:`assemble` applies, or is None.
     """
 
     def __init__(self, structure: SeparabilityStructure, k_terms: int, width: int,
-                 seed: int, w1, b1, w2, b2):
+                 seed: int, w1, b1, w2, b2, symmetry: str | None = None):
+        if symmetry is not None and get_twirl(symmetry, structure.dims) is None:
+            raise ValueError(f"symmetry {symmetry!r} does not apply to dims {structure.dims}")
         self.structure = structure
         self.k_terms = int(k_terms)
         self.width = int(width)
         self.seed = int(seed)
+        self.symmetry = symmetry
         arrays = [np.asarray(a, dtype=float) for a in (w1, b1, w2, b2)]
         self.flat = np.concatenate(arrays, axis=None)
         views, start = [], 0
@@ -369,8 +378,13 @@ def _through_normalization(unit: np.ndarray, norm: np.ndarray, grad: np.ndarray)
 
 
 def assemble(model: DecompositionModel) -> DensityMatrix:
-    """Evaluate the model for every term and return the mixed state it encodes."""
+    """Evaluate the model for every term and return the mixed state it encodes.
+
+    The state is the mixture twirled by ``model.symmetry``, if one is set.
+    """
     rho, _ = _evaluate(model)
+    if model.symmetry is not None:
+        rho = get_twirl(model.symmetry, model.structure.dims).apply(rho)
     return DensityMatrix(rho, model.structure.dims)
 
 
@@ -410,7 +424,7 @@ def backward(model: DecompositionModel, grad_rho: np.ndarray, cache: _Cache) -> 
 # --- checkpointing ----------------------------------------------------------
 
 def save_checkpoint(model: DecompositionModel, path: str) -> None:
-    """Write model parameters and structure to an .npz file (bit-exact)."""
+    """Write model parameters, structure and symmetry to an .npz file (bit-exact)."""
     descr = {
         "dims": list(model.structure.dims),
         "partitions": [[list(b) for b in part] for part in model.structure.partitions],
@@ -422,6 +436,7 @@ def save_checkpoint(model: DecompositionModel, path: str) -> None:
         k_terms=np.array(model.k_terms),
         width=np.array(model.width),
         seed=np.array(model.seed),
+        symmetry=np.array(model.symmetry or ""),
         w1=model.w1,
         b1=model.b1,
         w2=model.w2,
@@ -432,7 +447,7 @@ def save_checkpoint(model: DecompositionModel, path: str) -> None:
 def load_checkpoint(path: str) -> DecompositionModel:
     with np.load(path) as data:
         version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         descr = json.loads(str(data["structure"]))
         structure = SeparabilityStructure(
@@ -447,4 +462,6 @@ def load_checkpoint(path: str) -> DecompositionModel:
             if params[name].shape != shape:
                 raise ValueError(f"checkpoint array {name} has shape {params[name].shape}, "
                                  f"expected {shape} for its structure, k_terms and width")
-        return DecompositionModel(structure, k_terms, width, int(data["seed"]), **params)
+        symmetry = str(data["symmetry"]) if version > 1 else ""
+        return DecompositionModel(structure, k_terms, width, int(data["seed"]), **params,
+                                  symmetry=symmetry or None)

@@ -18,6 +18,13 @@ allocated once per run.  Every element goes through the same operations in
 the same order as the textbook update, so results do not depend on this
 layout.
 
+A target that one of the twirls in :mod:`sepnet.twirl` fixes is trained in
+that twirl's commutant: the loss is that of the twirled mixture T(rho_nn),
+computed from a handful of projector coefficients without an ``eigh``, and
+the returned state is T of the best mixture.  T maps separable states to
+separable states, so the result is an upper bound like any other; the
+check that T fixes the target only decides how fast training gets there.
+
 The baseline :func:`naive_gd` has its own parametrization (linearly
 normalized weights, free complex amplitudes) but assembles and
 differentiates the mixture with the model's product-state kernel.
@@ -31,7 +38,9 @@ import numpy as np
 
 from .linalg import DensityMatrix, as_matrix, hermitianize, hs_distance, trace_distance
 from .model import (DecompositionModel, SeparabilityStructure, _block_gradients, _evaluate,
-                    _product, _term_gradients, _through_normalization, backward, init_model)
+                    _product, _term_gradients, _through_normalization, assemble, backward,
+                    init_model)
+from .twirl import Twirl, find_twirl
 
 SIGN_EIGENVALUE_CUTOFF = 1e-12
 SETTLE_SCALE = 0.1      # Adadelta update scale in the settling window after a plateau
@@ -60,14 +69,25 @@ class TrainingDivergedError(RuntimeError):
         self.batch = batch
 
 
-def loss_value_and_gradient(rho_nn: np.ndarray, rho_t: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
+def loss_value_and_gradient(rho_nn: np.ndarray, rho_t: np.ndarray, loss: str,
+                            twirl: Twirl | None = None) -> tuple[float, np.ndarray]:
     """Distance between mixtures plus its Hermitian gradient wrt the first argument.
 
     The gradient G is defined through d(loss) = Tr[G d(rho_nn)].  For the
     trace distance G = U sign(L) U^dag / 2 over the eigensystem of the
     difference, with eigenvalues below 1e-12 in magnitude treated as zero;
     for the Hilbert-Schmidt distance G = diff / value (zero at zero).
+
+    With a ``twirl`` that fixes ``rho_t``, this is the distance from
+    T(rho_nn) instead.  T(rho_nn) - rho_t = sum_i c_i P_i, so the trace
+    distance is sum_i |c_i| Tr(P_i) / 2 with G = sum_i sign(c_i) P_i / 2
+    (the same cutoff on |c_i|), and the Hilbert-Schmidt distance is
+    sqrt(sum_i c_i^2 Tr(P_i)) with G = sum_i c_i P_i / value.  T is
+    self-adjoint and G lies in its range, so G is also the gradient wrt
+    rho_nn.
     """
+    if twirl is not None:
+        return _commutant_loss(twirl.coefficients(rho_nn) - twirl.coefficients(rho_t), twirl, loss)
     diff = hermitianize(np.asarray(rho_nn) - np.asarray(rho_t))
     if loss == "trace":
         w, v = np.linalg.eigh(diff)
@@ -81,6 +101,21 @@ def loss_value_and_gradient(rho_nn: np.ndarray, rho_t: np.ndarray, loss: str) ->
         if value < SIGN_EIGENVALUE_CUTOFF:
             return value, np.zeros_like(diff)
         return value, diff / value
+    raise ValueError(f"unknown loss {loss!r}")
+
+
+def _commutant_loss(c: np.ndarray, twirl: Twirl, loss: str) -> tuple[float, np.ndarray]:
+    if loss == "trace":
+        size = np.abs(c)
+        value = 0.5 * float(size @ twirl.rank)
+        s = np.sign(c)
+        s[size < SIGN_EIGENVALUE_CUTOFF] = 0.0
+        return value, twirl.compose(0.5 * s)
+    if loss == "hs":
+        value = float(np.sqrt((c * c) @ twirl.rank))
+        if value < SIGN_EIGENVALUE_CUTOFF:
+            return value, np.zeros((twirl.side, twirl.side))
+        return value, twirl.compose(c / value)
     raise ValueError(f"unknown loss {loss!r}")
 
 
@@ -107,9 +142,14 @@ class TrainConfig:
     convergence_delta: float = 2e-4
 
     def __post_init__(self):
+        if self.loss not in _DISTANCES:
+            raise ValueError(f"loss must be one of {', '.join(_DISTANCES)}, got {self.loss!r}")
         for name in ("restarts", "max_epochs", "batches_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("stop_distance", "convergence_delta"):
+            if not getattr(self, name) >= 0.0:     # also rejects NaN
+                raise ValueError(f"{name} must be a number >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -126,6 +166,7 @@ class TrainResult:
     state: DensityMatrix
     seed: int                  # seed of the winning restart
     history: list[tuple[int, float]] = field(default_factory=list)
+    symmetry: str | None = None    # the twirl that ``state`` is the image of, if any
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -134,9 +175,11 @@ def derived_seed(seed: int, index: int) -> int:
 
 
 def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: TrainConfig,
-                seed: int) -> tuple[float, DecompositionModel, str, int, int, list[tuple[int, float]]]:
+                seed: int, twirl: Twirl | None = None
+                ) -> tuple[float, DecompositionModel, str, int, int, list[tuple[int, float]]]:
     """One restart; the returned model holds the best parameters seen."""
     model = init_model(structure, config.k_terms, config.width, seed)
+    model.symmetry = None if twirl is None else twirl.name
     x = model.flat
     names = tuple(model.parameters())
     acc_g = np.zeros_like(x)
@@ -161,7 +204,7 @@ def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: Tr
         for batch in batch_range:
             batches += 1
             rho, cache = _evaluate(model)
-            value, grad_rho = loss_value_and_gradient(rho, rho_t, config.loss)
+            value, grad_rho = loss_value_and_gradient(rho, rho_t, config.loss, twirl)
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, batch)
             if value < best:
@@ -218,7 +261,8 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
 
     The reported distance always corresponds to the returned model: it is the
     distance of the assembled state of the best parameters seen, not of the
-    last update.
+    last update.  If a twirl fixes the target, every restart trains in its
+    commutant, and the state and model carry the twirl.
     """
     if config is None:
         config = TrainConfig()
@@ -227,12 +271,13 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
     if rho_t.shape != (total, total):
         raise ValueError(f"target shape {rho_t.shape} does not match structure dimension {total}")
     t0 = time.perf_counter()
+    twirl = find_twirl(rho_t, structure.dims)
     best_result = None
     tot_epochs = 0
     tot_batches = 0
     for r in range(config.restarts):
         seed = derived_seed(config.seed, r) if config.restarts > 1 else config.seed
-        value, model, status, epochs, batches, history = _train_once(rho_t, structure, config, seed)
+        value, model, status, epochs, batches, history = _train_once(rho_t, structure, config, seed, twirl)
         tot_epochs += epochs
         tot_batches += batches
         if best_result is None or value < best_result[0]:
@@ -240,7 +285,7 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
         if value < config.stop_distance:
             break
     value, model, status, seed, history = best_result
-    state = DensityMatrix(_evaluate(model)[0], structure.dims)
+    state = assemble(model)
     final = distance(state.matrix, rho_t, config.loss)
     return TrainResult(
         distance=final,
@@ -253,6 +298,7 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
         state=state,
         seed=seed,
         history=history,
+        symmetry=model.symmetry,
     )
 
 

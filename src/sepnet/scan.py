@@ -28,6 +28,7 @@ class ScanPoint:
     # and hash only because a frozen dataclass hashes the fields it compares,
     # and a DensityMatrix is unhashable
     state: DensityMatrix = field(compare=False)
+    symmetry: str | None = None    # the twirl that ``state`` is the image of, if any
 
 
 def _scan_point(args) -> ScanPoint:
@@ -43,6 +44,7 @@ def _scan_point(args) -> ScanPoint:
         batches=result.batches,
         wall_time=result.wall_time,
         state=result.state,
+        symmetry=result.symmetry,
     )
 
 

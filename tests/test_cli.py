@@ -114,6 +114,15 @@ class TestExitCodes:
         assert "must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "train_result.csv").exists()
 
+    @pytest.mark.parametrize("flag,name", [("--stop-distance", "stop_distance"),
+                                           ("--convergence-delta", "convergence_delta")])
+    @pytest.mark.parametrize("value", ["nan", "-0.1"])
+    def test_nan_or_negative_threshold(self, tmp_path, capsys, flag, name, value):
+        args = ["train", "--family", "isotropic", "--d", "2", "--q", "0.5", "--out", str(tmp_path)]
+        assert main(args + CHEAP + [f"{flag}={value}"]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "train_result.csv").exists()
+
     @pytest.mark.parametrize("extra,message", [
         (["--eps-prime-min", "0"], "must be positive"),
         (["--eps-prime-max", "-1"], "must be positive"),
@@ -192,6 +201,17 @@ class TestTrainCommand:
         names = [f.name for f in fields(TrainConfig)] + ["decay", "stabilizer"]
         assert [line.split(" = ")[0] for line in config] == names
 
+    @pytest.mark.parametrize("family,symmetry", [
+        (["--family", "isotropic", "--q", "0.9"], "isotropic"),
+        (["--family", "noisy_ghz", "--n", "3", "--q", "0.5"], "ghz"),
+        (["--family", "noisy_w", "--n", "3", "--q", "0.5"], "none"),
+    ])
+    def test_header_names_the_symmetry(self, tmp_path, family, symmetry):
+        out = str(tmp_path / "run")
+        assert main(["train"] + family + ["--out", out] + CHEAP) == 0
+        comments, _, _ = read_table(f"{out}/train_result.csv")
+        assert f"symmetry = {symmetry}" in comments
+
     def test_bell_ansatz_needs_no_q(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["train", "--family", "bell_ansatz", "--a", "0.125", "--b", "0.0625",
@@ -223,6 +243,12 @@ class TestScanCommand:
         config = TrainConfig(seed=seed, max_epochs=1, batches_per_epoch=50)
         again = train(werner(2, q), full_separability((2, 2)), config)
         assert again.distance == logged
+
+    def test_header_names_the_symmetry(self, tmp_path):
+        out = str(tmp_path / "scan")
+        assert main(["scan", "--family", "werner", "--qs", "0.6,0.8", "--out", out] + CHEAP) == 0
+        comments, _, _ = read_table(f"{out}/scan.csv")
+        assert "symmetry = werner" in comments
 
 
 class TestCertifyCommand:

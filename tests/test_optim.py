@@ -224,6 +224,20 @@ class TestTrain:
         with pytest.raises(ValueError, match=name):
             replace(TrainConfig(), **{name: -1})
 
+    def test_unknown_loss_rejected_by_config(self):
+        with pytest.raises(ValueError, match="loss"):
+            TrainConfig(loss="l1")
+
+    @pytest.mark.parametrize("name", ["stop_distance", "convergence_delta"])
+    @pytest.mark.parametrize("value", [float("nan"), -1e-3])
+    def test_nan_or_negative_threshold_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_fixed_schedule_thresholds_stay_valid(self):
+        TrainConfig(stop_distance=0.0, convergence_delta=1.0)
+        TrainConfig(stop_distance=0.0, convergence_delta=0.0)
+
     def test_diverged_error_carries_location(self):
         err = TrainingDivergedError(4, 17)
         assert err.epoch == 4 and err.batch == 17
