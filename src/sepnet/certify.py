@@ -234,11 +234,12 @@ def certify_state(
     bound exceeds 1/(D-1), so that alone makes rho_x a state.  Soundness only
     uses the separability of rho_css (by construction) and of ball members,
     so a poor fit can at worst fail to certify, never certify wrongly.  A
-    ``rho`` that is not a state for ``dims``, or an empty grid or one with an
-    eps' that is not finite and positive, raises ``ValueError`` untrained.
+    ``rho`` that is not a state for ``dims``, an epsilon that is not finite and
+    positive, or an empty grid or one with an eps' that is not finite and
+    positive, raises ``ValueError`` untrained.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     dims = tuple(int(d) for d in dims)
     rho = as_matrix(rho)
     DensityMatrix(rho, dims)

@@ -89,8 +89,8 @@ def _reject_unused_flags(args, used: tuple[str, ...], target: str) -> None:
 
 
 def _family_from_args(args) -> FamilySpec:
-    if args.target is not None or args.family is None:
-        raise UsageError(f"{args.command} works on --family targets only")
+    if args.family is None:
+        raise UsageError(f"{args.command} needs --family")
     used = family_parameters(args.family)
     _reject_unused_flags(args, used, f"family {args.family}")
     fields = {name: getattr(args, name) for name in ("d", "n") if getattr(args, name) is not None}
@@ -130,13 +130,20 @@ def _config_comments(config: TrainConfig) -> list[str]:
     ]
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _parse_grid(args) -> list[float]:
+    if (args.qs is None) == (args.grid is None):
+        raise UsageError("need --qs or --grid (exactly one)")
     if args.qs is not None:
         try:
             qs = [float(tok) for tok in args.qs.split(",") if tok.strip()]
         except ValueError:
             raise UsageError(f"bad --qs list {args.qs!r}")
-    elif args.grid is not None:
+    else:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise UsageError("--grid wants start:stop:count")
@@ -147,8 +154,6 @@ def _parse_grid(args) -> list[float]:
         if count < 1:
             raise UsageError("--grid count must be >= 1")
         qs = np.linspace(lo, hi, count).tolist()
-    else:
-        raise UsageError("need --qs or --grid")
     if not qs:
         raise UsageError("empty q grid")
     if any(b <= a for a, b in zip(qs, qs[1:])):
@@ -188,6 +193,10 @@ def cmd_train(args) -> int:
 def cmd_scan(args) -> int:
     family = _family_from_args(args)
     qs = _parse_grid(args)
+    _at_least("--fit-window", args.fit_window, 2)
+    if not 0 <= args.flat_tol < np.inf:
+        raise UsageError(f"--flat-tol must be finite and non-negative, got {args.flat_tol!r}")
+    _at_least("--workers", args.workers, 1)
     dims = family.dims()
     structure = parse_structure(args.structure, dims)
     config = _train_config(args)
@@ -233,8 +242,7 @@ def cmd_certify(args) -> int:
         raise UsageError("--eps-prime-min and --eps-prime-max must be positive")
     if args.eps_prime_min > args.eps_prime_max:
         raise UsageError("--eps-prime-min must not exceed --eps-prime-max")
-    if args.eps_prime_points < 1:
-        raise UsageError("--eps-prime-points must be >= 1")
+    _at_least("--eps-prime-points", args.eps_prime_points, 1)
     grid = np.logspace(np.log10(args.eps_prime_min), np.log10(args.eps_prime_max),
                        args.eps_prime_points)
     config = _train_config(args)
@@ -267,6 +275,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_random_bench(args) -> int:
+    _at_least("--count", args.count, 1)
     rng = np.random.default_rng(args.seed)
     structure = full_separability((2, 2))
     config = _train_config(args)
@@ -297,6 +306,7 @@ def cmd_random_bench(args) -> int:
 
 
 def cmd_gd_bench(args) -> int:
+    _at_least("--runs", args.runs, 1)
     bell = isotropic(2, 1.0)
     iso5 = isotropic(5, 1.0)
     out = _out_dir(args)
@@ -323,6 +333,8 @@ def cmd_gd_bench(args) -> int:
 
 
 def cmd_ansatz_check(args) -> int:
+    _at_least("--grid-steps", args.grid_steps, 1)
+    _at_least("--random", args.random, 0)
     bell = max_entangled(2)
     bell_rho = np.outer(bell, bell.conj())
     steps = args.grid_steps
@@ -382,9 +394,8 @@ def cmd_ansatz_check(args) -> int:
 
 # --- argument parsing ------------------------------------------------------------
 
-def _add_target_args(p: argparse.ArgumentParser) -> None:
+def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=FAMILY_KINDS, help="built-in state family")
-    p.add_argument("--target", help="complex-matrix text file (alternative to --family)")
     p.add_argument("--d", type=int, default=None, help="local dimension (isotropic/werner)")
     p.add_argument("--n", type=int, default=None, help="party count (noisy_ghz/noisy_w)")
     p.add_argument("--a", type=float, default=None)
@@ -393,8 +404,6 @@ def _add_target_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--structure", default="full",
-                   help="full | bisep | bisep-m<M> | trisep | explicit like '0|12'")
     p.add_argument("--loss", choices=("trace", "hs"), default=TrainConfig.loss)
     p.add_argument("--k", dest="k_terms", metavar="K", type=int, default=TrainConfig.k_terms,
                    help="decomposition terms per partition")
@@ -414,32 +423,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="separable approximations of density matrices via trained decompositions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = os.environ.get("SEPNET_WORKERS", "1")
-    try:
-        default_workers = int(workers)
-    except ValueError:
-        raise UsageError(f"SEPNET_WORKERS must be an integer, got {workers!r}") from None
 
     p = sub.add_parser("train", help="train one target and write artifacts")
-    _add_target_args(p)
+    _add_family_args(p)
+    p.add_argument("--target", help="complex-matrix text file (alternative to --family)")
+    p.add_argument("--structure", default="full",
+                   help="full | bisep | bisep-m<M> | trisep | explicit like '0|12'")
     _add_train_args(p)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--out", default="sepnet-out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("scan", help="train across a q grid and fit the threshold")
-    _add_target_args(p)
+    _add_family_args(p)
+    p.add_argument("--structure", default="full",
+                   help="full | bisep | bisep-m<M> | trisep | explicit like '0|12'")
     _add_train_args(p)
     p.add_argument("--qs", help="comma-separated strictly increasing q values")
     p.add_argument("--grid", help="start:stop:count")
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fit-window", type=int, default=4)
     p.add_argument("--flat-tol", type=float, default=5e-3)
     p.add_argument("--out", default="sepnet-out")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("certify", help="separability-ball certificates over a q grid")
-    _add_target_args(p)
+    _add_family_args(p)
     _add_train_args(p)
     p.add_argument("--qs", help="comma-separated strictly increasing q values")
     p.add_argument("--grid", help="start:stop:count")

@@ -130,13 +130,8 @@ def size_constrained_biseparable(dims: Sequence[int], m: int) -> SeparabilityStr
     n = len(dims)
     if not 1 <= m <= n // 2:
         raise ValueError(f"m must be in [1, {n // 2}]")
-    parts = []
-    for left, right in _bipartitions(n):
-        small = min(len(left), len(right))
-        if small != m:
-            continue
-        parts.append((left, right) if left[0] == 0 else (right, left))
-    return SeparabilityStructure(dims, tuple(parts))
+    parts = tuple(p for p in _bipartitions(n) if min(len(p[0]), len(p[1])) == m)
+    return SeparabilityStructure(dims, parts)
 
 
 def _set_partitions(items: tuple[int, ...]) -> list[list[list[int]]]:

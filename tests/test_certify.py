@@ -183,7 +183,7 @@ class TestCertify:
         assert "reduce epsilon" in res.reason
         assert res.train_distance is None
 
-    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, float("nan")])
+    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, float("nan"), float("inf")])
     def test_non_positive_epsilon_rejected_before_training(self, no_training, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             certify_state(np.eye(4) / 4, (2, 2), epsilon=epsilon)

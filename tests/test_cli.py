@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and its CSV artifacts."""
+import argparse
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sepnet import DensityMatrix, TrainConfig, full_separability, init_model, isotropic, train
-from sepnet.cli import UsageError, main, parse_structure
+from sepnet.cli import UsageError, build_parser, main, parse_structure
 from sepnet.io import read_matrix, read_table
 
 CHEAP = ["--max-epochs", "1", "--batches", "50"]
@@ -36,6 +37,12 @@ class TestExitCodes:
     def test_non_monotone_grid(self, capsys):
         assert main(["scan", "--family", "werner", "--qs", "0.5,0.4"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_qs_and_grid_together(self, tmp_path, capsys):
+        args = ["scan", "--family", "werner", "--qs", "0.5,0.6", "--grid", "0.1:0.9:9"]
+        assert main(args + ["--out", str(tmp_path / "run")] + CHEAP) == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_target(self, capsys):
         assert main(["train", "--q", "0.5"]) == 2
@@ -69,11 +76,23 @@ class TestExitCodes:
         assert main(args + CHEAP) == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_malformed_workers_variable(self, tmp_path, monkeypatch, capsys):
+    def test_workers_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEPNET_WORKERS", "abc")
         args = ["train", "--family", "werner", "--q", "0.6", "--out", str(tmp_path)]
-        assert main(args + CHEAP) == 2
-        assert "SEPNET_WORKERS" in capsys.readouterr().err
+        assert main(args + CHEAP) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "isotropic", "--d", "2", "--qs", "0.1", "--structure", "trisep"],
+        ["random-bench", "--count", "1", "--structure", "bisep"],
+        ["scan", "--family", "werner", "--qs", "0.6", "--target", "state.txt"],
+        ["certify", "--family", "werner", "--qs", "0.6", "--target", "state.txt"],
+    ])
+    def test_flag_the_command_does_not_take(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "run")] + CHEAP)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv,flag,source", [
         (["train", "--family", "bell_ansatz", "--a", "0.125", "--q", "0.2"], "--q", "bell_ansatz"),
@@ -135,12 +154,35 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "certificates.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--fit-window", "0"), ("--fit-window", "1"), ("--flat-tol", "nan"), ("--flat-tol", "inf"),
+        ("--flat-tol", "-0.1"), ("--workers", "0"), ("--workers", "-1"),
+    ])
+    def test_scan_setting_that_cannot_fit(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        args = ["scan", "--family", "isotropic", "--d", "2", "--qs", "0.5,0.6", "--out", str(out)]
+        assert main(args + CHEAP + [f"{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["gd-bench", "--runs", "0"], "--runs"),
+        (["random-bench", "--count", "0"], "--count"),
+        (["ansatz-check", "--grid-steps", "0"], "--grid-steps"),
+        (["ansatz-check", "--random", "-3"], "--random"),
+    ])
+    def test_count_that_runs_nothing(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_negative_gd_rounds(self, tmp_path, capsys):
         assert main(["gd-bench", "--runs", "1", "--rounds", "-1", "--out", str(tmp_path)]) == 2
         assert "rounds" in capsys.readouterr().err
         assert not (tmp_path / "gd_bench.csv").exists()
 
-    @pytest.mark.parametrize("epsilon", ["-0.5", "0"])
+    @pytest.mark.parametrize("epsilon", ["-0.5", "0", "inf"])
     def test_non_positive_epsilon(self, tmp_path, capsys, epsilon):
         args = ["certify", "--family", "isotropic", "--d", "2", "--qs", "0.1",
                 "--epsilon", epsilon, "--out", str(tmp_path)]
@@ -303,3 +345,28 @@ class TestBenchCommands:
         out = capsys.readouterr().out
         assert "0 violations" in out
         assert "0 bound violations" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--family", "isotropic", "--d", "2", "--q", "0.9"] + CHEAP,
+    ["scan", "--family", "werner", "--d", "2", "--qs", "0.6,0.8"] + CHEAP,
+    ["certify", "--family", "isotropic", "--d", "2", "--qs", "0.1"] + CHEAP,
+    ["random-bench", "--count", "1", "--seed", "1"] + CHEAP,
+    ["gd-bench", "--runs", "1", "--rounds", "1"],
+    ["ansatz-check", "--grid-steps", "2", "--random", "1"],
+], ids=lambda argv: argv[0])
+def test_every_declared_flag_is_read(tmp_path, monkeypatch, argv):
+    # a flag that its command never reads is accepted and silently ignored
+    monkeypatch.chdir(tmp_path)
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=Recording())
+    declared = set(vars(args)) - {"command", "func"}
+    reads.clear()  # parsing itself reads every dest
+    assert args.func(args) == 0
+    assert declared - reads == set()
