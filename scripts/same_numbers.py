@@ -13,18 +13,27 @@ reported distance and the state; for ``scan_family`` every point; for
 state, distance and iteration count; for ``css_ansatz_two_qubit`` the
 candidate, its validity and its distance; for ``certify_state`` and
 ``certify_grid`` the verdict, eps', purity, minimum eigenvalue, training
-distance, training status and reason.  One line is printed per case;
+distance, training status and reason.  The ``train``, ``scan``, ``certify``
+and ``random-bench`` commands run through ``sepnet.cli.main`` into a
+temporary directory, each with ``--max-epochs 1 --batches 50``; for them the
+exit code, the stderr line, every CSV with its ``wall_time`` column dropped,
+``state.txt`` and the arrays in ``model.npz``.  One line is printed per case;
 the exit status is 1 if any case differs, 0 otherwise.  The two trees run side by side; on a 2-core x86-64
 box the whole check takes about a minute.
 """
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 SHORT = dict(max_epochs=2, batches_per_epoch=300)     # the multipartite cases: 2 x 300 batches
 FIT = dict(max_epochs=3, batches_per_epoch=1000)      # certificates that fit within epsilon
+CLI_SHORT = ["--max-epochs", "1", "--batches", "50"]  # every command-line case
 
 
 def _cases():
@@ -88,6 +97,29 @@ def _cases():
             return [("distances", r.distances), ("state", r.state.matrix)]
         return run
 
+    def command(argv):
+        def run():
+            from sepnet.cli import main
+
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as out:
+                # stdout carries this protocol's JSON, and the command's own lines name ``out``
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv + ["--out", out] + CLI_SHORT)
+                fields = [("exit", code), ("stderr", err.getvalue().strip())]
+                for name in sorted(os.listdir(out)):
+                    path = os.path.join(out, name)
+                    if name.endswith(".csv"):
+                        fields.append((name, _csv_without_wall_time(path)))
+                    elif name == "model.npz":
+                        with np.load(path) as arrays:
+                            fields += [(f"{name} {k}", arrays[k]) for k in sorted(arrays.files)]
+                    else:
+                        with open(path) as fh:
+                            fields.append((name, fh.read()))
+            return fields
+        return run
+
     q4 = (2,) * 4
     ghz4 = sn.noisy_mix(sn.ghz(4), 0.5, q4)
     w3 = sn.noisy_mix(sn.w_state(3), 0.5, (2, 2, 2))
@@ -123,6 +155,19 @@ def _cases():
                    sn.TrainConfig(**FIT))),
         ("certify_grid isotropic d=2", certified_grid(sn.FamilySpec("isotropic", d=2), [0.0, 0.1],
                                                       "full", sn.TrainConfig(**SHORT))),
+        ("cli train isotropic d=2", command(["train", "--family", "isotropic", "--d", "2",
+                                             "--q", "0.9"])),
+        ("cli train noisy ghz n=3 bisep", command(["train", "--family", "noisy_ghz", "--n", "3",
+                                                   "--q", "0.6", "--structure", "bisep"])),
+        ("cli train noisy w n=3 0|12", command(["train", "--family", "noisy_w", "--n", "3",
+                                                "--q", "0.5", "--structure", "0|12"])),
+        ("cli scan werner d=2", command(["scan", "--family", "werner", "--d", "2",
+                                         "--qs", "0.6,0.8"])),
+        ("cli certify isotropic d=2", command(["certify", "--family", "isotropic", "--d", "2",
+                                               "--qs", "0.0,0.1"])),
+        ("cli random-bench", command(["random-bench", "--count", "2", "--seed", "1"])),
+        ("cli train unknown structure", command(["train", "--family", "werner", "--d", "2",
+                                                 "--q", "0.6", "--structure", "pairwise"])),
     ]
     for seed in range(10):
         rho = sn.random_two_qubit(np.random.default_rng(seed))
@@ -138,6 +183,21 @@ def _cases():
                       gd(bell, (2, 2), sn.GdConfig(seed=seed, real_only=True))))
         cases.append((f"naive_gd d=5 seed {seed}", gd(iso5, (5, 5), sn.GdConfig(seed=seed))))
     return cases
+
+
+def _csv_without_wall_time(path) -> list:
+    """The table's lines in order: comments as text, rows as cells without ``wall_time``."""
+    lines, drop = [], None
+    with open(path) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("#") or not line.strip():
+                lines.append(line)
+                continue
+            row = next(csv.reader([line]))
+            if drop is None:
+                drop = row.index("wall_time") if "wall_time" in row else len(row)
+            lines.append(row[:drop] + row[drop + 1:])
+    return lines
 
 
 def _digest(value) -> str:

@@ -19,6 +19,7 @@ from .model import (
     init_model,
     output_width,
     load_checkpoint,
+    parse_structure,
     save_checkpoint,
     size_constrained_biseparable,
     triseparable,
@@ -46,7 +47,6 @@ from .certify import (
     css_ansatz_two_qubit,
     estimate_threshold,
     is_npt,
-    notion_structure,
     ppt_min_eigenvalue,
     purity_ball_bound,
 )

@@ -30,7 +30,7 @@ from .linalg import (
     purity,
     trace_distance,
 )
-from .model import SeparabilityStructure, biseparable, full_separability
+from .model import parse_structure
 from .optim import TrainConfig, train
 from .states import FamilySpec
 
@@ -190,14 +190,6 @@ def purity_ball_bound(notion: str, dims) -> float:
     raise ValueError(f"unknown notion {notion!r}")
 
 
-def notion_structure(notion: str, dims) -> SeparabilityStructure:
-    if notion == "full":
-        return full_separability(dims)
-    if notion == "bisep":
-        return biseparable(dims)
-    raise ValueError(f"unknown notion {notion!r}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class CertificateResult:
     """Outcome of a separability-ball certification attempt at one q."""
@@ -256,7 +248,7 @@ def certify_state(
     if lo < -PSD_TOL:
         # rho sits too close to the boundary of the state set for this offset
         return result(reason=f"offset target is not a state (min eigenvalue {lo:.3e}); reduce epsilon")
-    trained = train(rho_t, notion_structure(notion, dims), train_config or TrainConfig())
+    trained = train(rho_t, parse_structure(notion, dims), train_config or TrainConfig())
     result = partial(result, train_distance=trained.distance, train_status=trained.status)
     if trained.distance > epsilon:
         return result(reason=f"training residual {trained.distance:.3e} exceeds epsilon")

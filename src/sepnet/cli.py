@@ -27,15 +27,7 @@ from .certify import (
 )
 from .io import append_comments, read_matrix, write_matrix, write_table
 from .linalg import DensityMatrix, trace_distance
-from .model import (
-    SeparabilityStructure,
-    biseparable,
-    fixed_partition,
-    full_separability,
-    save_checkpoint,
-    size_constrained_biseparable,
-    triseparable,
-)
+from .model import full_separability, parse_structure, save_checkpoint
 from .optim import ADADELTA_DECAY, ADADELTA_STABILIZER, GdConfig, TrainConfig, naive_gd, train
 from .scan import scan_family
 from .states import (
@@ -51,31 +43,6 @@ from .states import (
 
 class UsageError(Exception):
     """Invalid combination of command-line values (exit code 2)."""
-
-
-def parse_structure(text: str, dims: tuple[int, ...]) -> SeparabilityStructure:
-    """Parse a structure word: full | bisep | bisep-m<M> | trisep | '0|12'-style."""
-    text = text.strip()
-    if text == "full":
-        return full_separability(dims)
-    if text == "bisep":
-        return biseparable(dims)
-    if text.startswith("bisep-m"):
-        try:
-            m = int(text[len("bisep-m"):])
-        except ValueError:
-            raise UsageError(f"bad size-constrained structure {text!r}; want e.g. bisep-m1")
-        return size_constrained_biseparable(dims, m)
-    if text == "trisep":
-        return triseparable(dims)
-    if "|" in text:
-        blocks = []
-        for block in text.split("|"):
-            if not block or not all(ch.isdigit() for ch in block):
-                raise UsageError(f"bad partition block {block!r} in {text!r}")
-            blocks.append(tuple(int(ch) for ch in block))
-        return fixed_partition(dims, tuple(blocks))
-    raise UsageError(f"unknown structure {text!r}")
 
 
 # the family parameter each family flag sets
@@ -155,7 +122,10 @@ def _parse_grid(args) -> list[float]:
             raise UsageError("--grid count must be >= 1")
         qs = np.linspace(lo, hi, count).tolist()
     if not qs:
-        raise UsageError("empty q grid")
+        raise UsageError("--qs lists no q values")
+    if not np.isfinite(qs).all():
+        flag, text = ("--qs", args.qs) if args.qs is not None else ("--grid", args.grid)
+        raise UsageError(f"{flag} q values must be finite, got {text!r}")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise UsageError("q grid must be strictly increasing")
     return qs

@@ -158,6 +158,34 @@ def triseparable(dims: Sequence[int]) -> SeparabilityStructure:
     return SeparabilityStructure(dims, tuple(sorted(parts)))
 
 
+def parse_structure(text: str, dims: Sequence[int]) -> SeparabilityStructure:
+    """Parse a structure word: full | bisep | bisep-m<M> | trisep | '0|12'-style.
+
+    Raises ``ValueError`` on any other word.
+    """
+    text = text.strip()
+    if text == "full":
+        return full_separability(dims)
+    if text == "bisep":
+        return biseparable(dims)
+    if text.startswith("bisep-m"):
+        try:
+            m = int(text[len("bisep-m"):])
+        except ValueError:
+            raise ValueError(f"bad size-constrained structure {text!r}; want e.g. bisep-m1")
+        return size_constrained_biseparable(dims, m)
+    if text == "trisep":
+        return triseparable(dims)
+    if "|" in text:
+        blocks = []
+        for block in text.split("|"):
+            if not block or not all(ch.isdigit() for ch in block):
+                raise ValueError(f"bad partition block {block!r} in {text!r}")
+            blocks.append(tuple(int(ch) for ch in block))
+        return fixed_partition(dims, tuple(blocks))
+    raise ValueError(f"unknown structure {text!r}")
+
+
 # --- where each partition sits in the network output ------------------------
 
 class _Group(NamedTuple):

@@ -6,7 +6,6 @@ count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .linalg import DensityMatrix
@@ -65,5 +64,8 @@ def scan_family(
     tasks = [(family, float(q), structure, config, i) for i, q in enumerate(qs)]
     if workers <= 1:
         return [_scan_point(t) for t in tasks]
+    # imported here: it loads multiprocessing, which a sequential scan never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_point, tasks))

@@ -16,7 +16,6 @@ from sepnet import (
     is_npt,
     isotropic,
     min_eigenvalue,
-    notion_structure,
     ppt_min_eigenvalue,
     purity,
     purity_ball_bound,
@@ -139,12 +138,6 @@ class TestPurityBall:
     def test_unknown_notion(self):
         with pytest.raises(ValueError, match="notion"):
             purity_ball_bound("trisep", (2, 2))
-        with pytest.raises(ValueError, match="notion"):
-            notion_structure("trisep", (2, 2))
-
-    def test_notion_structures(self):
-        assert len(notion_structure("full", (2, 2, 2)).partitions) == 1
-        assert len(notion_structure("bisep", (2, 2, 2)).partitions) == 3
 
 
 @pytest.fixture
@@ -204,6 +197,7 @@ class TestCertify:
         (isotropic(2, 0.34).matrix, {"eps_prime_grid": [0.1, 0.0]}, "eps' grid"),
         (isotropic(2, 0.34).matrix, {"eps_prime_grid": [float("nan")]}, "eps' grid"),
         (isotropic(2, 0.34).matrix, {"eps_prime_grid": []}, "eps' grid"),
+        (np.eye(4) / 4, {"notion": "trisep"}, "notion"),
     ])
     def test_bad_input_rejected_before_training(self, no_training, rho, kwargs, message):
         with pytest.raises(ValueError, match=message):

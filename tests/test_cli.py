@@ -5,8 +5,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sepnet import DensityMatrix, TrainConfig, full_separability, init_model, isotropic, train
-from sepnet.cli import UsageError, build_parser, main, parse_structure
+from sepnet import (
+    DensityMatrix,
+    TrainConfig,
+    full_separability,
+    init_model,
+    isotropic,
+    parse_structure,
+    train,
+)
+from sepnet.cli import build_parser, main
 from sepnet.io import read_matrix, read_table
 
 CHEAP = ["--max-epochs", "1", "--batches", "50"]
@@ -25,7 +33,7 @@ class TestParseStructure:
 
     def test_bad_inputs(self):
         for text in ("pairwise", "bisep-mx", "0|x2", "0||1"):
-            with pytest.raises(UsageError):
+            with pytest.raises(ValueError):
                 parse_structure(text, (2, 2))
 
 
@@ -37,6 +45,23 @@ class TestExitCodes:
     def test_non_monotone_grid(self, capsys):
         assert main(["scan", "--family", "werner", "--qs", "0.5,0.4"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--qs", "0.5,nan", "--qs q values must be finite"),
+        ("--qs", "inf", "--qs q values must be finite"),
+        ("--grid", "0.5:nan:3", "--grid q values must be finite"),
+        ("--qs", "0.5,x", "bad --qs"),
+        ("--qs", ",", "--qs lists no q values"),
+        ("--grid", "0.5:0.6", "--grid wants start:stop:count"),
+        ("--grid", "0.5:y:3", "bad --grid"),
+        ("--grid", "0.1:0.2:0", "--grid count"),
+    ])
+    def test_malformed_grid(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "run"
+        args = ["scan", "--family", "werner", "--d", "2", f"{flag}={value}", "--out", str(out)]
+        assert main(args + CHEAP) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_qs_and_grid_together(self, tmp_path, capsys):
         args = ["scan", "--family", "werner", "--qs", "0.5,0.6", "--grid", "0.1:0.9:9"]

@@ -23,6 +23,14 @@ from sepnet import (
 )
 from sepnet.model import _evaluate
 from sepnet.optim import loss_value_and_gradient
+from sepnet.twirl import get_twirl
+
+
+def _haar_unitary(n: int, rng) -> np.ndarray:
+    # QR of a complex Ginibre matrix, with the phases of R's diagonal divided out
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 class TestLoss:
@@ -34,10 +42,11 @@ class TestLoss:
 
     def test_zero_at_equal_states(self):
         rho = isotropic(3, 0.4).matrix
-        for loss in ("trace", "hs"):
-            value, grad = loss_value_and_gradient(rho, rho, loss)
-            assert value == 0.0
-            assert np.allclose(grad, 0.0)
+        for twirl in (None, get_twirl("isotropic", (3, 3))):
+            for loss in ("trace", "hs"):
+                value, grad = loss_value_and_gradient(rho, rho, loss, twirl)
+                assert value == 0.0
+                assert np.allclose(grad, 0.0)
 
     @pytest.mark.parametrize("loss", ["trace", "hs"])
     def test_gradient_pairs_with_difference(self, loss, rng):
@@ -146,15 +155,26 @@ class TestDerivedSeed:
 
 
 class TestTrain:
-    def test_bell_reaches_known_distance(self):
+    @pytest.mark.parametrize("loss,expected", [("trace", 0.5), ("hs", 1 / np.sqrt(3))],
+                             ids=["trace", "hs"])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+    def test_bell_reaches_known_distance(self, loss, expected, rotated):
         # entangled target: the fit should land on the closest-separable
-        # distance, not below it
-        bell = isotropic(2, 1.0)
-        res = train(bell, full_separability((2, 2)), TrainConfig(seed=0))
-        assert res.distance == pytest.approx(0.5, abs=2e-3)
+        # distance, not below it.  A local unitary U x V keeps that distance
+        # but leaves the Bell state fixed by no twirl, so the rotated copy
+        # trains the untwirled network.
+        bell = isotropic(2, 1.0).matrix
+        if rotated:
+            rng = np.random.default_rng(7)
+            uv = np.kron(_haar_unitary(2, rng), _haar_unitary(2, rng))
+            bell = uv @ bell @ uv.conj().T
+        res = train(bell, full_separability((2, 2)), TrainConfig(loss=loss, seed=0))
+        assert res.distance == pytest.approx(expected, abs=2e-3)
         assert res.status in ("converged", "exhausted")
         assert res.state.dims == (2, 2)
-        assert distance(res.state, bell) == pytest.approx(res.distance, abs=1e-12)
+        assert distance(res.state, bell, loss) == pytest.approx(res.distance, abs=1e-12)
+        if rotated:
+            assert res.symmetry is None
 
     def test_separable_target_stops_early(self):
         res = train(werner(2, 0.45), full_separability((2, 2)), TrainConfig(seed=0))
@@ -242,6 +262,27 @@ class TestTrain:
         err = TrainingDivergedError(4, 17)
         assert err.epoch == 4 and err.batch == 17
         assert "epoch 4" in str(err)
+
+    def test_non_finite_loss_stops_training(self, monkeypatch, tmp_path, capsys):
+        import sepnet.optim
+        from sepnet.cli import main
+
+        calls = 0
+
+        def nan_on_third_call(*args):
+            nonlocal calls
+            calls += 1
+            value, grad = loss_value_and_gradient(*args)
+            return (np.nan if calls == 3 else value), grad
+
+        monkeypatch.setattr(sepnet.optim, "loss_value_and_gradient", nan_on_third_call)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train(isotropic(2, 0.9), full_separability((2, 2)), TrainConfig(seed=0))
+        assert (exc.value.epoch, exc.value.batch) == (1, 3)
+        calls = 0
+        args = ["train", "--family", "isotropic", "--d", "2", "--q", "0.9", "--out", str(tmp_path)]
+        assert main(args) == 3
+        assert "non-finite loss at epoch 1, batch 3" in capsys.readouterr().err
 
 
 class TestNaiveGd:
