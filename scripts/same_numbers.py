@@ -136,6 +136,8 @@ def _cases():
         ("w n=3 bisep", trained(w3, sn.biseparable((2, 2, 2)), sn.TrainConfig(**SHORT))),
         ("random (2,3,2) bisep", trained(mixed, sn.biseparable((2, 3, 2)),
                                          sn.TrainConfig(**SHORT))),
+        ("werner d=3 q=0.8 hs", trained(sn.werner(3, 0.8), sn.full_separability((3, 3)),
+                                        sn.TrainConfig(loss="hs", **SHORT))),
         ("werner d=2 q=0.8 restarts=2", trained(sn.werner(2, 0.8), sn.full_separability((2, 2)),
                                                 sn.TrainConfig(restarts=2, **SHORT))),
         ("isotropic d=2 scan", scanned(sn.FamilySpec("isotropic", d=2), [0.2, 0.4, 0.6],

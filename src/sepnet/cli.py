@@ -162,6 +162,8 @@ def cmd_train(args) -> int:
 
 def cmd_scan(args) -> int:
     family = _family_from_args(args)
+    if "q" not in family_parameters(family.kind):
+        raise UsageError(f"family {family.kind} does not depend on q, so there is nothing to scan")
     qs = _parse_grid(args)
     _at_least("--fit-window", args.fit_window, 2)
     if not 0 <= args.flat_tol < np.inf:
@@ -208,8 +210,8 @@ def cmd_scan(args) -> int:
 def cmd_certify(args) -> int:
     family = _family_from_args(args)
     qs = _parse_grid(args)
-    if args.eps_prime_min <= 0 or args.eps_prime_max <= 0:
-        raise UsageError("--eps-prime-min and --eps-prime-max must be positive")
+    if not (0 < args.eps_prime_min < np.inf and 0 < args.eps_prime_max < np.inf):
+        raise UsageError("--eps-prime-min and --eps-prime-max must be positive and finite")
     if args.eps_prime_min > args.eps_prime_max:
         raise UsageError("--eps-prime-min must not exceed --eps-prime-max")
     _at_least("--eps-prime-points", args.eps_prime_points, 1)

@@ -73,50 +73,40 @@ def loss_value_and_gradient(rho_nn: np.ndarray, rho_t: np.ndarray, loss: str,
                             twirl: Twirl | None = None) -> tuple[float, np.ndarray]:
     """Distance between mixtures plus its Hermitian gradient wrt the first argument.
 
-    The gradient G is defined through d(loss) = Tr[G d(rho_nn)].  For the
-    trace distance G = U sign(L) U^dag / 2 over the eigensystem of the
-    difference, with eigenvalues below 1e-12 in magnitude treated as zero;
-    for the Hilbert-Schmidt distance G = diff / value (zero at zero).
+    The gradient G is defined through d(loss) = Tr[G d(rho_nn)].  Both losses
+    read the difference as orthogonal parts c_i with multiplicities m_i, plus
+    a ``rebuild`` that turns one value per part back into a matrix:
 
-    With a ``twirl`` that fixes ``rho_t``, this is the distance from
-    T(rho_nn) instead.  T(rho_nn) - rho_t = sum_i c_i P_i, so the trace
-    distance is sum_i |c_i| Tr(P_i) / 2 with G = sum_i sign(c_i) P_i / 2
-    (the same cutoff on |c_i|), and the Hilbert-Schmidt distance is
-    sqrt(sum_i c_i^2 Tr(P_i)) with G = sum_i c_i P_i / value.  T is
-    self-adjoint and G lies in its range, so G is also the gradient wrt
-    rho_nn.
+    * trace, dense: the eigenvalues, m_i = 1, rebuild(x) = U diag(x) U^dag;
+    * Hilbert-Schmidt, dense: the entries, m_i = 1, rebuild the identity;
+    * with a ``twirl`` that fixes ``rho_t``, the distance from T(rho_nn):
+      T(rho_nn) - rho_t = sum_i c_i P_i, m_i = Tr(P_i) and
+      rebuild(x) = sum_i x_i P_i.  T is self-adjoint and G lies in its
+      range, so G is also the gradient wrt rho_nn.
+
+    The trace distance is sum_i |c_i| m_i / 2 with G = rebuild(sign(c) / 2),
+    parts below 1e-12 in magnitude taking sign zero; the Hilbert-Schmidt
+    distance is sqrt(sum_i |c_i|^2 m_i) with G = rebuild(c / value), and
+    G = 0 below the same cutoff.
     """
+    if loss not in _DISTANCES:
+        raise ValueError(f"unknown loss {loss!r}")
     if twirl is not None:
-        return _commutant_loss(twirl.coefficients(rho_nn) - twirl.coefficients(rho_t), twirl, loss)
-    diff = hermitianize(np.asarray(rho_nn) - np.asarray(rho_t))
-    if loss == "trace":
-        w, v = np.linalg.eigh(diff)
-        value = 0.5 * float(np.abs(w).sum())
-        s = np.sign(w)
-        s[np.abs(w) < SIGN_EIGENVALUE_CUTOFF] = 0.0
-        grad = 0.5 * (v * s) @ v.conj().T
-        return value, grad
-    if loss == "hs":
-        value = float(np.sqrt(np.vdot(diff, diff).real))
-        if value < SIGN_EIGENVALUE_CUTOFF:
-            return value, np.zeros_like(diff)
-        return value, diff / value
-    raise ValueError(f"unknown loss {loss!r}")
-
-
-def _commutant_loss(c: np.ndarray, twirl: Twirl, loss: str) -> tuple[float, np.ndarray]:
+        c = twirl.coefficients(rho_nn) - twirl.coefficients(rho_t)
+        m, rebuild = twirl.rank, twirl.compose
+    else:
+        c, m = hermitianize(np.asarray(rho_nn) - np.asarray(rho_t)), 1.0
+        rebuild = np.asarray                # the identity on the entries
+        if loss == "trace":
+            c, v = np.linalg.eigh(c)
+            rebuild = lambda x: (v * x) @ v.conj().T     # noqa: E731
     if loss == "trace":
         size = np.abs(c)
-        value = 0.5 * float(size @ twirl.rank)
         s = np.sign(c)
         s[size < SIGN_EIGENVALUE_CUTOFF] = 0.0
-        return value, twirl.compose(0.5 * s)
-    if loss == "hs":
-        value = float(np.sqrt((c * c) @ twirl.rank))
-        if value < SIGN_EIGENVALUE_CUTOFF:
-            return value, np.zeros((twirl.side, twirl.side))
-        return value, twirl.compose(c / value)
-    raise ValueError(f"unknown loss {loss!r}")
+        return 0.5 * float((size * m).sum()), rebuild(0.5 * s)
+    value = float(np.sqrt(np.vdot(c * m, c).real))
+    return value, rebuild(np.zeros_like(c) if value < SIGN_EIGENVALUE_CUTOFF else c / value)
 
 
 def distance(a, b, loss: str = "trace") -> float:
@@ -272,31 +262,25 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
         raise ValueError(f"target shape {rho_t.shape} does not match structure dimension {total}")
     t0 = time.perf_counter()
     twirl = find_twirl(rho_t, structure.dims)
-    best_result = None
-    tot_epochs = 0
-    tot_batches = 0
+    runs = []
     for r in range(config.restarts):
         seed = derived_seed(config.seed, r) if config.restarts > 1 else config.seed
-        value, model, status, epochs, batches, history = _train_once(rho_t, structure, config, seed, twirl)
-        tot_epochs += epochs
-        tot_batches += batches
-        if best_result is None or value < best_result[0]:
-            best_result = (value, model, status, seed, history)
-        if value < config.stop_distance:
+        runs.append(_train_once(rho_t, structure, config, seed, twirl))
+        if runs[-1][0] < config.stop_distance:
             break
-    value, model, status, seed, history = best_result
+    # the first restart with the lowest best distance wins
+    _, model, status, _, _, history = min(runs, key=lambda run: run[0])
     state = assemble(model)
-    final = distance(state.matrix, rho_t, config.loss)
     return TrainResult(
-        distance=final,
+        distance=distance(state.matrix, rho_t, config.loss),
         loss=config.loss,
         status=status,
-        epochs=tot_epochs,
-        batches=tot_batches,
+        epochs=sum(run[3] for run in runs),
+        batches=sum(run[4] for run in runs),
         wall_time=time.perf_counter() - t0,
         model=model,
         state=state,
-        seed=seed,
+        seed=model.seed,
         history=history,
         symmetry=model.symmetry,
     )

@@ -63,6 +63,14 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scan_of_a_family_without_q(self, tmp_path, capsys):
+        # bell_ansatz states ignore q: a scan would train one state per point
+        args = ["scan", "--family", "bell_ansatz", "--a", "0.1", "--qs", "0.1,0.2",
+                "--out", str(tmp_path)]
+        assert main(args + CHEAP) == 2
+        assert "family bell_ansatz does not depend on q" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_qs_and_grid_together(self, tmp_path, capsys):
         args = ["scan", "--family", "werner", "--qs", "0.5,0.6", "--grid", "0.1:0.9:9"]
         assert main(args + ["--out", str(tmp_path / "run")] + CHEAP) == 2
@@ -172,6 +180,10 @@ class TestExitCodes:
         (["--eps-prime-max", "-1"], "must be positive"),
         (["--eps-prime-min", "0.5", "--eps-prime-max", "0.1"], "must not exceed"),
         (["--eps-prime-points", "0"], "--eps-prime-points"),
+        (["--eps-prime-min", "nan"], "must be positive and finite"),
+        (["--eps-prime-max", "nan"], "must be positive and finite"),
+        (["--eps-prime-min", "inf"], "must be positive and finite"),
+        (["--eps-prime-max", "inf"], "must be positive and finite"),
     ])
     def test_bad_eps_prime_grid(self, tmp_path, capsys, extra, message):
         args = ["certify", "--family", "isotropic", "--qs", "0.1", "--out", str(tmp_path)]

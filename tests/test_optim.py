@@ -48,20 +48,36 @@ class TestLoss:
                 assert value == 0.0
                 assert np.allclose(grad, 0.0)
 
-    @pytest.mark.parametrize("loss", ["trace", "hs"])
-    def test_gradient_pairs_with_difference(self, loss, rng):
+    @pytest.mark.parametrize("loss,symmetry", [
+        ("trace", None), ("hs", None), ("trace", "isotropic"), ("hs", "isotropic"),
+    ], ids=["trace", "hs", "trace-twirled", "hs-twirled"])
+    def test_gradient_pairs_with_difference(self, loss, symmetry, rng):
         # both losses are positively homogeneous of degree one in the
-        # difference, so Tr[G . diff] recovers the value exactly
-        from sepnet import random_density_matrix
+        # difference, so Tr[G . diff] recovers the value exactly; with a
+        # twirl the difference is T(a) - b, for a b that T fixes
+        twirl = None if symmetry is None else get_twirl(symmetry, (3, 3))
+        side = 6 if twirl is None else 9
+        a = random_density_matrix(side, rng).matrix
+        b = random_density_matrix(side, rng).matrix
+        diff = a - b
+        if twirl is not None:
+            b = twirl.apply(b)
+            diff = twirl.apply(a) - b
+        value, grad = loss_value_and_gradient(a, b, loss, twirl)
+        assert np.trace(grad @ diff).real == pytest.approx(value, rel=1e-10)
 
-        a = random_density_matrix(6, rng).matrix
-        b = random_density_matrix(6, rng).matrix
-        value, grad = loss_value_and_gradient(a, b, loss)
-        assert np.trace(grad @ (a - b)).real == pytest.approx(value, rel=1e-10)
-
-    def test_unknown_loss(self):
+    def test_unknown_loss(self, monkeypatch):
         with pytest.raises(ValueError, match="loss"):
             distance(np.eye(2) / 2, np.eye(2) / 2, "fidelity")
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh ran before the loss name was checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        rho = isotropic(3, 0.4).matrix
+        for twirl in (None, get_twirl("isotropic", (3, 3))):
+            with pytest.raises(ValueError, match="unknown loss 'fidelity'"):
+                loss_value_and_gradient(rho, rho, "fidelity", twirl)
 
     @pytest.mark.parametrize("loss", ["trace", "hs"])
     def test_backprop_matches_finite_differences(self, loss):
@@ -226,6 +242,15 @@ class TestTrain:
         res = train(isotropic(2, 0.9), full_separability((2, 2)), cfg)
         assert res.seed in (derived_seed(9, 0), derived_seed(9, 1))
         assert res.epochs == 2 and res.batches == 60  # totals across restarts
+
+    def test_restarts_stop_at_the_first_separable_one(self):
+        # I/4 is separable, so the first restart already stops: the result is
+        # that restart alone, batches and seed included
+        target, structure = np.eye(4) / 4, full_separability((2, 2))
+        res = train(target, structure, TrainConfig(restarts=3))
+        single = train(target, structure, TrainConfig(seed=derived_seed(0, 0)))
+        assert single.status == "separable_stop"
+        assert (res.batches, res.epochs, res.seed) == (single.batches, single.epochs, single.seed)
 
     def test_restarts_return_the_winning_model(self):
         cfg = TrainConfig(seed=9, restarts=2, max_epochs=1, batches_per_epoch=30)
