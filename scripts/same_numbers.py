@@ -129,6 +129,9 @@ def _cases():
                                       sn.TrainConfig(loss="trace", seed=0))),
         ("isotropic d=3 q=0.2", trained(sn.isotropic(3, 0.2), sn.full_separability((3, 3)),
                                         sn.TrainConfig())),
+        # an explicit K is honoured, also on a twirled target
+        ("isotropic d=3 q=0.2 k_terms=9",
+         trained(sn.isotropic(3, 0.2), sn.full_separability((3, 3)), sn.TrainConfig(k_terms=9))),
         ("ghz n=4 bisep", trained(ghz4, sn.biseparable(q4), sn.TrainConfig(**SHORT))),
         ("ghz n=4 trisep", trained(ghz4, sn.triseparable(q4), sn.TrainConfig(**SHORT))),
         ("ghz n=4 bisep-m1", trained(ghz4, sn.size_constrained_biseparable(q4, 1),

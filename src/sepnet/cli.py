@@ -144,7 +144,8 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     out = _out_dir(args)
     result = train(matrix, structure, config)
-    comments = (desc + [f"symmetry = {result.symmetry or 'none'}", f"structure = {args.structure}"]
+    comments = (desc + [f"symmetry = {result.symmetry or 'none'}",
+                        f"k_terms_used = {result.k_terms}", f"structure = {args.structure}"]
                 + _config_comments(config))
     write_table(
         os.path.join(out, "train_result.csv"),
@@ -177,8 +178,9 @@ def cmd_scan(args) -> int:
     path = os.path.join(out, "scan.csv")
     # distinct, in grid order: a point such as I/D may be fixed by an earlier twirl in the table
     symmetries = dict.fromkeys(p.symmetry or "none" for p in points)
+    k_terms = dict.fromkeys(str(p.k_terms) for p in points)
     comments = (family.describe()
-                + [f"symmetry = {','.join(symmetries)}",
+                + [f"symmetry = {','.join(symmetries)}", f"k_terms_used = {','.join(k_terms)}",
                    f"structure = {args.structure}", f"workers = {args.workers}",
                    f"fit_window = {args.fit_window}", f"flat_tol = {args.flat_tol!r}"]
                 + _config_comments(config))
@@ -378,7 +380,8 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
 def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=("trace", "hs"), default=TrainConfig.loss)
     p.add_argument("--k", dest="k_terms", metavar="K", type=int, default=TrainConfig.k_terms,
-                   help="decomposition terms per partition")
+                   help="decomposition terms per partition (default: the twirl's projector "
+                        "count for a symmetric target, otherwise the total dimension)")
     p.add_argument("--width", type=int, default=TrainConfig.width)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--restarts", type=int, default=TrainConfig.restarts)

@@ -273,6 +273,8 @@ def init_model(structure: SeparabilityStructure, k_terms: int | None = None,
 
     ``k_terms`` defaults to the total Hilbert space dimension and is capped at
     its square (enough terms for any separable state by Caratheodory).
+    :func:`~sepnet.optim.train` passes m, the twirl's projector count, for a
+    target that a twirl fixes.
     """
     if k_terms is None:
         k_terms = structure.total_dim

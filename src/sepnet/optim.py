@@ -24,6 +24,8 @@ computed from a handful of projector coefficients without an ``eigh``, and
 the returned state is T of the best mixture.  T maps separable states to
 separable states, so the result is an upper bound like any other; the
 check that T fixes the target only decides how fast training gets there.
+Unless ``k_terms`` is set, such a target trains one term per projector: by
+Caratheodory, that many twirled product states reach every point of T(SEP).
 
 The baseline :func:`naive_gd` has its own parametrization (linearly
 normalized weights, free complex amplitudes) but assembles and
@@ -157,6 +159,7 @@ class TrainResult:
     seed: int                  # seed of the winning restart
     history: list[tuple[int, float]] = field(default_factory=list)
     symmetry: str | None = None    # the twirl that ``state`` is the image of, if any
+    k_terms: int | None = None     # the terms per partition that ``model`` trained
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -168,7 +171,8 @@ def _train_once(target: np.ndarray, structure: SeparabilityStructure, config: Tr
                 seed: int, twirl: Twirl | None = None
                 ) -> tuple[float, DecompositionModel, str, int, int, list[tuple[int, float]]]:
     """One restart; the returned model holds the best parameters seen."""
-    model = init_model(structure, config.k_terms, config.width, seed)
+    k_terms = config.k_terms if config.k_terms is not None or twirl is None else len(twirl.rank)
+    model = init_model(structure, k_terms, config.width, seed)
     model.symmetry = None if twirl is None else twirl.name
     x = model.flat
     names = tuple(model.parameters())
@@ -283,6 +287,7 @@ def train(target, structure: SeparabilityStructure, config: TrainConfig | None =
         seed=model.seed,
         history=history,
         symmetry=model.symmetry,
+        k_terms=model.k_terms,
     )
 
 

@@ -28,6 +28,7 @@ class ScanPoint:
     # and a DensityMatrix is unhashable
     state: DensityMatrix = field(compare=False)
     symmetry: str | None = None    # the twirl that ``state`` is the image of, if any
+    k_terms: int | None = None     # the terms per partition that the run trained
 
 
 def _scan_point(args) -> ScanPoint:
@@ -44,6 +45,7 @@ def _scan_point(args) -> ScanPoint:
         wall_time=result.wall_time,
         state=result.state,
         symmetry=result.symmetry,
+        k_terms=result.k_terms,
     )
 
 

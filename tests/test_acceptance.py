@@ -282,3 +282,25 @@ def test_criterion_11_baseline_comparison():
         f"d=5 GD best {min(gd_d5):.4f} vs true 0.8 "
         f"(misses by > 0.03: {min(gd_d5) - 0.8 > 0.03})",
     )
+
+
+@pytest.mark.parametrize("family,make", [("isotropic", isotropic), ("werner", werner)])
+def test_criterion_12_local_dimension_ten(family, make):
+    # the paper's agreement "up to local dimension d=10"; the target is
+    # twirled, so the default K is the twirl's two projectors, not D = 100
+    d = 10
+    structure = full_separability((d, d))
+    worst, batches = 0.0, 0
+    t0 = time.perf_counter()
+    for q in (0.6, 1.0):
+        for loss in ("trace", "hs"):
+            res = train(make(d, q), structure, TrainConfig(loss=loss, seed=0))
+            worst = max(worst, abs(res.distance - reference_distance(family, loss, d, q)))
+            batches += res.batches
+    elapsed = time.perf_counter() - t0
+    report(
+        f"12 ({family})",
+        worst <= 5e-3,
+        f"max |trained - closed form| = {worst:.1e} at d=10, q in 0.6, 1, "
+        f"both losses ({batches} batches, {elapsed:.1f}s)",
+    )

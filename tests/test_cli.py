@@ -291,6 +291,19 @@ class TestTrainCommand:
         comments, _, _ = read_table(f"{out}/train_result.csv")
         assert f"symmetry = {symmetry}" in comments
 
+    @pytest.mark.parametrize("family,k_terms", [
+        (["--family", "isotropic", "--d", "2", "--q", "0.9"], 2),
+        (["--family", "noisy_ghz", "--n", "3", "--q", "0.5"], 5),
+        (["--family", "noisy_w", "--n", "3", "--q", "0.5"], 8),
+    ], ids=["isotropic d=2", "noisy ghz n=3", "noisy w n=3"])
+    def test_header_records_the_k_used(self, tmp_path, family, k_terms):
+        out = str(tmp_path / "run")
+        assert main(["train"] + family + ["--out", out] + CHEAP) == 0
+        comments, _, _ = read_table(f"{out}/train_result.csv")
+        i = comments.index(f"k_terms_used = {k_terms}")
+        assert comments[i - 1].startswith("symmetry = ")
+        assert comments[i + 1].startswith("structure = ")
+
     def test_bell_ansatz_needs_no_q(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["train", "--family", "bell_ansatz", "--a", "0.125", "--b", "0.0625",
@@ -328,6 +341,15 @@ class TestScanCommand:
         assert main(["scan", "--family", "werner", "--qs", "0.6,0.8", "--out", out] + CHEAP) == 0
         comments, _, _ = read_table(f"{out}/scan.csv")
         assert "symmetry = werner" in comments
+
+    def test_header_records_the_k_used(self, tmp_path):
+        # I/4 is fixed by the isotropic twirl, the Werner points by theirs:
+        # every point trains two terms, listed once
+        out = str(tmp_path / "scan")
+        assert main(["scan", "--family", "werner", "--qs", "0.25,0.8", "--out", out] + CHEAP) == 0
+        comments, _, _ = read_table(f"{out}/scan.csv")
+        assert "symmetry = isotropic,werner" in comments
+        assert comments[comments.index("symmetry = isotropic,werner") + 1] == "k_terms_used = 2"
 
 
 class TestCertifyCommand:

@@ -13,12 +13,17 @@ from sepnet import (
     derived_seed,
     distance,
     full_separability,
+    ghz,
     init_model,
     isotropic,
+    load_checkpoint,
     naive_gd,
+    noisy_mix,
     random_density_matrix,
+    save_checkpoint,
     train,
     triseparable,
+    w_state,
     werner,
 )
 from sepnet.model import _evaluate
@@ -308,6 +313,57 @@ class TestTrain:
         args = ["train", "--family", "isotropic", "--d", "2", "--q", "0.9", "--out", str(tmp_path)]
         assert main(args) == 3
         assert "non-finite loss at epoch 1, batch 3" in capsys.readouterr().err
+
+
+class TestDefaultTerms:
+    """Without ``k_terms``, a twirled target trains one term per projector."""
+
+    SHORT = TrainConfig(max_epochs=1, batches_per_epoch=20)
+
+    @pytest.mark.parametrize("target,structure,symmetry", [
+        (isotropic(3, 0.5), full_separability((3, 3)), "isotropic"),
+        (werner(3, 0.5), full_separability((3, 3)), "werner"),
+        (noisy_mix(ghz(4), 0.5, (2,) * 4), biseparable((2,) * 4), "ghz"),
+    ], ids=["isotropic d=3", "werner d=3", "ghz n=4 bisep"])
+    def test_twirled_target_trains_one_term_per_projector(self, target, structure, symmetry):
+        res = train(target, structure, self.SHORT)
+        assert res.symmetry == symmetry
+        assert res.model.k_terms == res.k_terms == len(get_twirl(symmetry, structure.dims).rank)
+        if symmetry == "ghz":
+            assert res.model.k_terms == 9       # 2^(n-1) + 1 for n = 4
+
+    def test_explicit_k_terms_is_honoured(self):
+        res = train(isotropic(3, 0.5), full_separability((3, 3)), replace(self.SHORT, k_terms=5))
+        assert res.symmetry == "isotropic"
+        assert res.model.k_terms == 5
+
+    def test_untwirled_target_keeps_total_dimension(self):
+        res = train(noisy_mix(w_state(3), 0.5, (2, 2, 2)), full_separability((2, 2, 2)), self.SHORT)
+        assert res.symmetry is None
+        assert res.model.k_terms == 8
+
+    def test_every_restart_uses_the_same_k(self, monkeypatch):
+        import sepnet.optim
+
+        used = []
+
+        def recording_init_model(structure, k_terms, *args):
+            used.append(k_terms)
+            return init_model(structure, k_terms, *args)
+
+        monkeypatch.setattr(sepnet.optim, "init_model", recording_init_model)
+        res = train(werner(3, 0.8), full_separability((3, 3)), replace(self.SHORT, restarts=2))
+        assert used == [2, 2]
+        assert res.model.k_terms == 2
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        res = train(isotropic(2, 0.9), full_separability((2, 2)), self.SHORT)
+        assert res.model.k_terms == 2
+        path = tmp_path / "model.npz"
+        save_checkpoint(res.model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.k_terms == 2
+        assert np.array_equal(assemble(loaded).matrix, res.state.matrix)
 
 
 class TestNaiveGd:
