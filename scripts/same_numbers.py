@@ -8,7 +8,9 @@ OLD_SRC and NEW_SRC are directories that contain the ``sepnet`` package
 tree, in its own subprocess with that tree on ``PYTHONPATH`` and one BLAS
 thread.  Every case is reduced to a digest of its exact bytes: for ``train``
 the batch count, status, epochs, history, every parameter array, the
-reported distance and the state; for ``scan_family`` every point; for
+reported distance and the state; for ``scan_family`` every point's q,
+distance, status, seed, epochs, batches and state, also with restarts and on
+two worker processes; for
 ``naive_gd`` the distance curve and the state; for ``closest_ppt_hs`` the
 state, distance and iteration count; for ``css_ansatz_two_qubit`` the
 candidate, its validity and its distance; for ``certify_state`` and
@@ -50,11 +52,11 @@ def _cases():
             return fields + sorted(r.model.parameters().items())
         return run
 
-    def scanned(family, qs, structure, config):
+    def scanned(family, qs, structure, config, workers=1):
         def run():
             return [(f"point {i}", (p.q, float(p.distance).hex(), p.status, p.seed, p.epochs,
                                     p.batches, _digest(p.state.matrix)))
-                    for i, p in enumerate(sn.scan_family(family, qs, structure, config))]
+                    for i, p in enumerate(sn.scan_family(family, qs, structure, config, workers))]
         return run
 
     def projected(rho):
@@ -145,6 +147,13 @@ def _cases():
                                                 sn.TrainConfig(restarts=2, **SHORT))),
         ("isotropic d=2 scan", scanned(sn.FamilySpec("isotropic", d=2), [0.2, 0.4, 0.6],
                                        sn.full_separability((2, 2)), sn.TrainConfig(max_epochs=1))),
+        # the seed column is the point's seed, not the winning restart's
+        ("isotropic d=2 scan restarts=2",
+         scanned(sn.FamilySpec("isotropic", d=2), [0.2, 0.4, 0.6], sn.full_separability((2, 2)),
+                 sn.TrainConfig(restarts=2, **SHORT))),
+        ("werner d=2 scan workers=2",
+         scanned(sn.FamilySpec("werner", d=2), [0.3, 0.6, 0.9], sn.full_separability((2, 2)),
+                 sn.TrainConfig(**SHORT), workers=2)),
         ("certify I/4", certified(np.eye(4) / 4, (2, 2), "full", sn.TrainConfig(**SHORT))),
         ("certify NPT random two-qubit seed 0",
          certified(sn.random_two_qubit(np.random.default_rng(0)), (2, 2), "full",

@@ -333,13 +333,17 @@ def estimate_threshold(points, fit_window: int = 4, flat_tol: float = 5e-3) -> T
     Takes the ``fit_window`` smallest q values whose distance exceeds
     ``flat_tol``, fits a least-squares line, and intersects it with zero.
     """
+    if fit_window < 2:
+        raise ValueError(f"fit_window must be at least 2, got {fit_window}")
+    if not 0 <= flat_tol < np.inf:
+        raise ValueError(f"flat_tol must be finite and non-negative, got {flat_tol!r}")
     pts = sorted((float(q), float(d)) for q, d in points)
     if len(pts) < 2:
         raise ValueError("need at least two scan points")
     rising = [(q, d) for q, d in pts if d > flat_tol]
     if len(rising) < 2:
         raise ValueError("fewer than two points rise above flat_tol; widen the scan")
-    used = rising[: max(2, fit_window)]
+    used = rising[:fit_window]
     qs = np.array([q for q, _ in used])
     ds = np.array([d for _, d in used])
     a = np.stack([qs, np.ones_like(qs)], axis=1)

@@ -266,6 +266,11 @@ class DecompositionModel:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
+    def __reduce__(self):
+        # unpickled through the constructor, so the arrays are views of ``flat`` again
+        return (DecompositionModel, (self.structure, self.k_terms, self.width, self.seed,
+                                     *self.parameters().values(), self.symmetry))
+
 
 def init_model(structure: SeparabilityStructure, k_terms: int | None = None,
                width: int = 100, seed: int = 0) -> DecompositionModel:

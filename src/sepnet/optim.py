@@ -322,6 +322,10 @@ def naive_gd(target, dims: tuple[int, ...], config: GdConfig | None = None) -> G
     if config is None:
         config = GdConfig()
     rho_t = as_matrix(target)
+    total = int(np.prod(dims))
+    if rho_t.shape != (total, total):
+        raise ValueError(f"target shape {rho_t.shape} does not match dims {tuple(dims)}, "
+                         f"shape {(total, total)}")
     rng = np.random.default_rng(config.seed)
     kk = GD_K_TERMS
     raw_p = rng.uniform(0.5, 1.5, size=kk)

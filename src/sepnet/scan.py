@@ -2,51 +2,33 @@
 
 Each grid point is an independent training run with its own derived seed, so
 sweeps parallelize across processes and give identical results for any worker
-count.
+count.  A :class:`ScanPoint` is the run's :class:`~sepnet.optim.TrainResult`,
+with its model, state and history, plus the point's ``q``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .linalg import DensityMatrix
 from .model import SeparabilityStructure
-from .optim import TrainConfig, derived_seed, train
+from .optim import TrainConfig, TrainResult, derived_seed, train
 from .states import FamilySpec
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+@dataclass(kw_only=True)
+class ScanPoint(TrainResult):
+    """One grid point; ``seed`` is the one it trained with, ``derived_seed(master, i)``.
+
+    With ``restarts > 1`` the winning restart's seed is ``model.seed``.
+    """
+
     q: float
-    distance: float
-    status: str
-    seed: int
-    epochs: int
-    batches: int
-    wall_time: float
-    # the trained state, which ``distance`` is measured from; left out of ==
-    # and hash only because a frozen dataclass hashes the fields it compares,
-    # and a DensityMatrix is unhashable
-    state: DensityMatrix = field(compare=False)
-    symmetry: str | None = None    # the twirl that ``state`` is the image of, if any
-    k_terms: int | None = None     # the terms per partition that the run trained
 
 
 def _scan_point(args) -> ScanPoint:
     family, q, structure, config, index = args
     cfg = replace(config, seed=derived_seed(config.seed, index))
     result = train(family.make(q).matrix, structure, cfg)
-    return ScanPoint(
-        q=float(q),
-        distance=result.distance,
-        status=result.status,
-        seed=cfg.seed,
-        epochs=result.epochs,
-        batches=result.batches,
-        wall_time=result.wall_time,
-        state=result.state,
-        symmetry=result.symmetry,
-        k_terms=result.k_terms,
-    )
+    return ScanPoint(**{**vars(result), "seed": cfg.seed}, q=float(q))
 
 
 def scan_family(

@@ -252,3 +252,20 @@ class TestThresholdEstimate:
         pts = [(0.1, 0.5), (0.2, 0.4), (0.3, 0.3)]
         with pytest.raises(ValueError, match="slope"):
             estimate_threshold(pts)
+
+    @pytest.mark.parametrize("fit_window", [0, 1, -3])
+    def test_fit_window_below_two_rejected(self, fit_window):
+        pts = [(0.6, 0.1), (0.7, 0.2), (0.8, 0.3)]
+        with pytest.raises(ValueError, match="fit_window must be at least 2"):
+            estimate_threshold(pts, fit_window=fit_window)
+
+    @pytest.mark.parametrize("flat_tol", [float("nan"), float("inf"), -0.1])
+    def test_flat_tol_not_finite_and_non_negative_rejected(self, flat_tol):
+        pts = [(0.6, 0.1), (0.7, 0.2), (0.8, 0.3)]
+        with pytest.raises(ValueError, match="flat_tol must be finite and non-negative"):
+            estimate_threshold(pts, flat_tol=flat_tol)
+
+    def test_fit_window_two_fits_two_points(self):
+        est = estimate_threshold([(0.6, 0.1), (0.7, 0.2), (0.8, 0.35)], fit_window=2)
+        assert [q for q, _ in est.points_used] == [0.6, 0.7]
+        assert est.threshold == pytest.approx(0.5, abs=1e-12)

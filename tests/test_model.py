@@ -1,4 +1,5 @@
 """Tests for separability structures and the decomposition network."""
+import pickle
 from functools import reduce
 from typing import NamedTuple, Sequence
 
@@ -284,3 +285,15 @@ class TestCheckpoint:
         assert all(np.shares_memory(v, model.flat) for v in params.values())
         model.flat[:] = 0.25
         assert all(np.all(v == 0.25) for v in params.values())
+
+    def test_pickle_keeps_the_views_and_the_symmetry(self):
+        model = init_model(full_separability((2, 2)), k_terms=2, width=7, seed=4)
+        model.b2 += 0.125
+        model.symmetry = "isotropic"
+        loaded = pickle.loads(pickle.dumps(model))
+        assert loaded.symmetry == "isotropic"
+        assert (loaded.k_terms, loaded.width, loaded.seed) == (2, 7, 4)
+        assert all(np.shares_memory(v, loaded.flat) for v in loaded.parameters().values())
+        assert np.array_equal(assemble(loaded).matrix, assemble(model).matrix)
+        loaded.flat[:] = 0.25
+        assert np.all(loaded.w1 == 0.25)

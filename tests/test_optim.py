@@ -397,3 +397,8 @@ class TestNaiveGd:
         res = naive_gd(isotropic(2, 1.0), (2, 2), GdConfig(rounds=0))
         assert res.distances.shape == (1,)
         assert distance(res.state, isotropic(2, 1.0)) == pytest.approx(res.distances[0], abs=1e-12)
+
+    def test_target_not_matching_dims_rejected(self):
+        message = r"target shape \(4, 4\) does not match dims \(3, 3\), shape \(9, 9\)"
+        with pytest.raises(ValueError, match=message):
+            naive_gd(isotropic(2, 1.0), (3, 3), GdConfig(rounds=1))
